@@ -3,8 +3,9 @@
 Exit codes:
     0  success
     1  one or more verification cases failed
-    2  malformed request (bad flag values, empty ranges, unknown suites)
-    3  size limits exceeded (n, |k|, m above 64 or precision above 4096)
+    2  malformed request (bad flag values, unknown suites)
+    3  size limits exceeded (n, |k|, m above 64, precision above 4096, empty
+       ranges, or a table of more than MAX_TABLE_VALUES output values)
     4  a numeric route failed to converge or missed its error contract
 
 Output is deterministic: the same command line yields byte-identical stdout.
@@ -40,6 +41,9 @@ from .zeta import (
 )
 
 MAX_INDEX = 64
+# Output values per table: 1 per number, n+1 per gpb-* entry, (n+1)(m+1) per
+# sym-poly entry.  The full 65 x 129 number grid (8,385) fits.
+MAX_TABLE_VALUES = 10_000
 MAX_PRECISION = 4096
 
 EXIT_OK = 0
@@ -89,6 +93,13 @@ def _expand(rng: tuple[int, int], what: str, lo_limit: int | None = None) -> lis
     return list(range(lo, hi + 1))
 
 
+def _check_table_values(count: int) -> None:
+    if count > MAX_TABLE_VALUES:
+        raise SizeLimitError(
+            f"table of {count} output values exceeds the limit of {MAX_TABLE_VALUES}"
+        )
+
+
 def _default_precision() -> int:
     raw = os.environ.get("POLYBERNOULLI_PRECISION")
     if raw is None:
@@ -121,6 +132,7 @@ def _table_report(args) -> dict:
     if kind in ("pb-number", "pb-neg"):
         ns = _expand(args.n, "n", 0)
         ks = _expand(args.k, "k", 0 if kind == "pb-neg" else None)
+        _check_table_values(len(ns) * len(ks))
         entries = []
         for n in ns:
             for k in ks:
@@ -132,6 +144,7 @@ def _table_report(args) -> dict:
         params = _params_from_args(args)
         ns = _expand(args.n, "n", 0)
         ks = _expand(args.k, "k")
+        _check_table_values(sum(n + 1 for n in ns) * len(ks))
         entries = []
         for n in ns:
             for k in ks:
@@ -151,6 +164,7 @@ def _table_report(args) -> dict:
         params = _params_from_args(args)
         ns = _expand(args.n, "n", 0)
         ms = _expand(args.m, "m", 0)
+        _check_table_values(sum(n + 1 for n in ns) * sum(m + 1 for m in ms))
         entries = []
         for n in ns:
             for m in ms:

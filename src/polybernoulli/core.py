@@ -1,19 +1,26 @@
 """Classical poly-Bernoulli numbers and polynomials (exact rationals).
 
 B_n^(k)(x) = sum_{m=0}^{n} (m+1)^(-k) sum_{j=0}^{m} (-1)^j C(m,j) (x-j)^n for
-any integer k, with B_n^(k) = B_n^(k)(0).  Negative upper index has the closed
-Stirling form sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
-(0,1)-matrices; lonesum_count() enumerates those matrices two independent ways
-and is the combinatorial oracle for that family.
+any integer k, with B_n^(k) = B_n^(k)(0).  Values come from one cached row of
+numbers per k, Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k:
+the polynomials are its Appell sums sum_i C(n,i) B_{n-i}^(k) x^i, the
+Bernoulli polynomials those of B_m = (-1)^m B_m^(1); the literal double sum is
+a test oracle.  Negative upper index has the closed Stirling form
+sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum (0,1)-matrices;
+lonesum_count() enumerates those matrices two independent ways and is the
+combinatorial oracle for that family.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
-from .exact_arith import binomial, inv_int_pow, stirling2
+from .exact_arith import binomial, stirling2
 from .polynomials import Poly1
 
 __all__ = [
@@ -26,33 +33,52 @@ __all__ = [
     "lonesum_count",
 ]
 
-
-@lru_cache(maxsize=None)
-def _shift_power(j: int, n: int, sign: int) -> Poly1:
-    # (x + sign*j)^n
-    return Poly1((sign * j, 1)) ** n
+_ROW_LOCK = threading.RLock()
+_PB_ROWS: dict[int, list[Fraction]] = {}
 
 
-@lru_cache(maxsize=None)
+def _grown_row(rows: dict, key, n: int, entry: Callable[[int], Fraction]) -> list:
+    """rows[key], grown in place by entry(i) to at least n + 1 entries.  Rows
+    are only appended to, under a lock, so a returned row keeps its values."""
+    row = rows.setdefault(key, [])
+    with _ROW_LOCK:
+        while len(row) <= n:
+            row.append(entry(len(row)))
+    return row
+
+
+def _kaneko(n: int, k: int) -> Fraction:
+    # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, summed as integers over the
+    # common denominator lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
+    lcm = math.lcm(*range(1, n + 2)) if k > 0 else 1
+    num = sum(
+        (-1) ** m * math.factorial(m) * stirling2(n, m)
+        * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
+        for m in range(n + 1)
+    )
+    return Fraction((-1) ** n * num, lcm ** max(k, 0))
+
+
+def _pb_row(n: int, k: int) -> list[Fraction]:
+    """B_0^(k) .. B_n^(k) (the cached row may hold more entries)."""
+    if n < 0:
+        raise ValueError("poly-Bernoulli index n must be >= 0, got %d" % n)
+    return _grown_row(_PB_ROWS, k, n, lambda i: _kaneko(i, k))
+
+
+def _appell(row, n: int) -> list[Fraction]:
+    """Coefficients, lowest degree first, of sum_i C(n,i) row[n-i] x^i."""
+    return [binomial(n, i) * row[n - i] for i in range(n + 1)]
+
+
 def pb_poly(n: int, k: int) -> Poly1:
     """B_n^(k)(x), exact, any integer k, n >= 0."""
-    if n < 0:
-        raise ValueError("pb_poly: n must be >= 0")
-    # Swap the summation order: weight of (x-j)^n is
-    # (-1)^j sum_{m=j}^{n} (m+1)^(-k) C(m,j).
-    acc = Poly1()
-    for j in range(n + 1):
-        w = sum(
-            (inv_int_pow(m + 1, k) * binomial(m, j) for m in range(j, n + 1)),
-            Fraction(0),
-        )
-        acc = acc + ((-1) ** j * w) * _shift_power(j, n, -1)
-    return acc
+    return Poly1(_appell(_pb_row(n, k), n))
 
 
 def pb_number(n: int, k: int) -> Fraction:
     """B_n^(k) = B_n^(k)(0)."""
-    return pb_poly(n, k).coefficient(0)
+    return _pb_row(n, k)[n]
 
 
 def pb_number_neg_closed(n: int, k: int) -> int:
@@ -74,7 +100,7 @@ def pb_number_recurrence(n: int, k: int) -> Fraction:
 
     (n+1) B_n^(k) = B_n^(k-1) - sum_{m=1}^{n-1} C(n, m-1) B_m^(k); the upper
     index k has no base case of its own, so the k-1 input comes from the
-    explicit formula while the row recursion grounds at n = 0.
+    Kaneko row while the row recursion grounds at n = 0.
     """
     if n == 0:
         return pb_number(0, k)
@@ -84,22 +110,11 @@ def pb_number_recurrence(n: int, k: int) -> Fraction:
     return acc / (n + 1)
 
 
-@lru_cache(maxsize=None)
 def bernoulli_poly(n: int) -> Poly1:
-    """Bernoulli polynomial via sum_m 1/(m+1) sum_j (-1)^j C(m,j) (x+j)^n.
-
-    Convention B_1(0) = -1/2.
-    """
-    if n < 0:
-        raise ValueError("bernoulli_poly: n must be >= 0")
-    acc = Poly1()
-    for j in range(n + 1):
-        w = sum(
-            (Fraction(binomial(m, j), m + 1) for m in range(j, n + 1)),
-            Fraction(0),
-        )
-        acc = acc + ((-1) ** j * w) * _shift_power(j, n, +1)
-    return acc
+    """Bernoulli polynomial t e^(xt)/(e^t - 1), the Appell sum over
+    B_m = (-1)^m B_m^(1) (convention B_1(0) = -1/2)."""
+    row = _pb_row(n, 1)
+    return Poly1(_appell([(-1) ** m * b for m, b in enumerate(row[: n + 1])], n))
 
 
 @lru_cache(maxsize=None)

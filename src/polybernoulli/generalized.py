@@ -6,11 +6,14 @@ gamma = ln c; alpha + beta != 0 always.  The defining explicit formula is
     B_n^(k)(x; a, b) = sum_{m=0}^{n} (m+1)^(-k)
                        sum_{j=0}^{m} (-1)^j C(m,j) (x - j alpha - (j+1) beta)^n
 
-with the three-parameter variant substituting gamma*x for x.  Everything else
+with the three-parameter variant substituting gamma*x for x.  It is computed
+as the Appell sum over the number row G_m = sum_i C(m,i) B_{m-i}^(k)
+L^(m-i) (-beta)^i, L = alpha + beta, mapped from the classical Kaneko row and
+cached per (k, alpha, beta); gamma scales x^i by gamma^i.  Everything else
 here (scaling from the classical polynomials, two recurrences, Appell
 derivative, addition/multiplication rules, generalized Bernoulli polynomials
-and the power-sum identity) is an alternative route to the same values and is
-pinned to the explicit formula by the tests.
+and the power-sum identity) is an alternative route to the same values, and
+the tests pin all of them to the literal double sum.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import bernoulli_poly, pb_poly
-from .exact_arith import binomial, inv_int_pow
+from .core import _appell, _grown_row, _pb_row, bernoulli_poly, pb_poly
+from .exact_arith import binomial
 from .polynomials import Poly1
 
 __all__ = [
@@ -81,44 +84,39 @@ class GPBPoly:
         return self
 
 
-def _explicit_weights(n: int, k: int) -> list[Fraction]:
-    # weight of (x - c_j)^n after swapping the m/j sums:
-    # (-1)^j sum_{m=j}^{n} (m+1)^(-k) C(m, j)
-    return [
-        (-1) ** j
-        * sum((inv_int_pow(m + 1, k) * binomial(m, j) for m in range(j, n + 1)), Fraction(0))
-        for j in range(n + 1)
-    ]
+_GPB_ROWS: dict[tuple, list[Fraction]] = {}
 
 
-@lru_cache(maxsize=None)
+def _gpb_row(n: int, k: int, params: Params) -> list[Fraction]:
+    """B_0^(k)(a, b) .. B_n^(k)(a, b), mapped from the classical row."""
+    L, minus_beta = params.log_sum, -params.beta
+    classical = _pb_row(n, k)
+
+    def entry(m: int) -> Fraction:
+        return sum(
+            binomial(m, i) * classical[m - i] * L ** (m - i) * minus_beta**i
+            for i in range(m + 1)
+        )
+
+    return _grown_row(_GPB_ROWS, (k, params.alpha, params.beta), n, entry)
+
+
 def gpb_explicit(n: int, k: int, params: Params) -> GPBPoly:
-    """B_n^(k)(x; a, b) from the explicit double sum, any integer k."""
-    if n < 0:
-        raise ValueError("gpb_explicit: n must be >= 0")
-    acc = Poly1()
-    for j, w in enumerate(_explicit_weights(n, k)):
-        shift = j * params.alpha + (j + 1) * params.beta
-        acc = acc + w * (Poly1((-shift, 1)) ** n)
-    return GPBPoly(n, k, params, acc)
+    """B_n^(k)(x; a, b), any integer k: the Appell sum over the mapped number
+    row, equal to the explicit double sum."""
+    return GPBPoly(n, k, params, Poly1(_appell(_gpb_row(n, k, params), n)))
 
 
-@lru_cache(maxsize=None)
 def gpb_explicit_c(n: int, k: int, params: Params) -> GPBPoly:
     """Three-parameter B_n^(k)(x; a, b, c): the two-parameter polynomial at
     gamma*x."""
-    if n < 0:
-        raise ValueError("gpb_explicit_c: n must be >= 0")
-    acc = Poly1()
-    for j, w in enumerate(_explicit_weights(n, k)):
-        shift = j * params.alpha + (j + 1) * params.beta
-        acc = acc + w * (Poly1((-shift, params.gamma)) ** n)
-    return GPBPoly(n, k, params, acc)
+    coeffs = _appell(_gpb_row(n, k, params), n)
+    return GPBPoly(n, k, params, Poly1([c * params.gamma**i for i, c in enumerate(coeffs)]))
 
 
 def gpb_number(n: int, k: int, params: Params) -> Fraction:
     """B_n^(k)(a, b) = B_n^(k)(0; a, b)."""
-    return gpb_explicit(n, k, params).poly.coefficient(0)
+    return _gpb_row(n, k, params)[n]
 
 
 def scale_from_classical(n: int, k: int, params: Params) -> GPBPoly:

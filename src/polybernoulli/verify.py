@@ -139,10 +139,32 @@ def _poly2_str(poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Suites.
+# Suites.  Each is registered once, with the invariant ids it covers; the
+# registration builds its SuiteResult, so the report's "covers" and COVERS
+# cannot drift apart.
 
-def suite_exact_arith(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("exact-arith", ["EA1", "EA2", "EA3", "EA4"])
+SUITES: dict[str, Callable[[random.Random], SuiteResult]] = {}
+COVERS: dict[str, list[str]] = {}
+
+
+def _suite(name: str, *ids: str):
+    """Register body(rng, out) as suite name covering the invariants ids."""
+
+    def register(body: Callable[[random.Random, SuiteResult], None]):
+        def run(rng: random.Random) -> SuiteResult:
+            out = SuiteResult(name, list(ids))
+            body(rng, out)
+            return out
+
+        SUITES[name] = run
+        COVERS[name] = list(ids)
+        return run
+
+    return register
+
+
+@_suite("exact-arith", "EA1", "EA2", "EA3", "EA4")
+def suite_exact_arith(rng: random.Random, out: SuiteResult) -> None:
     n = rng.randint(5, 24)
     k = rng.randint(1, n - 1)
     out.check(
@@ -165,11 +187,10 @@ def suite_exact_arith(rng: random.Random) -> SuiteResult:
     out.check(
         f"round-trip {q}", exact_arith.parse_rat(exact_arith.format_rat(q)), q
     )
-    return out
 
 
-def suite_series(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("series", ["PS1", "PS2", "PS3", "PS4"])
+@_suite("series", "PS1", "PS2", "PS3", "PS4")
+def suite_series(rng: random.Random, out: SuiteResult) -> None:
     c = _rand_rat(rng, lo=1, hi=5)
     order = rng.randint(4, 10)
     prod = polyseries.ps_exp(c, order) * polyseries.ps_exp(-c, order)
@@ -208,11 +229,10 @@ def suite_series(rng: random.Random) -> SuiteResult:
             for j in range(min(bn, bk) + 1)
         ),
     )
-    return out
 
 
-def suite_core_recurrence(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("core-recurrence", ["CO1", "CO5", "CO6"])
+@_suite("core-recurrence", "CO1", "CO5", "CO6")
+def suite_core_recurrence(rng: random.Random, out: SuiteResult) -> None:
     for _ in range(3):
         n = rng.randint(0, 8)
         k = rng.randint(-3, 4)
@@ -234,11 +254,10 @@ def suite_core_recurrence(rng: random.Random) -> SuiteResult:
         core.bernoulli_numbers(m)[m],
         core.bernoulli_poly(m).coefficient(0),
     )
-    return out
 
 
-def suite_lonesum(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("lonesum", ["CO2", "CO3", "CO4"])
+@_suite("lonesum", "CO2", "CO3", "CO4")
+def suite_lonesum(rng: random.Random, out: SuiteResult) -> None:
     n = rng.randint(0, 6)
     k = rng.randint(0, 6)
     out.check(
@@ -258,11 +277,10 @@ def suite_lonesum(rng: random.Random) -> SuiteResult:
         core.lonesum_count(mn, mk),
         core.pb_number(mn, -mk),
     )
-    return out
 
 
-def suite_generalized(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("generalized", ["GE1", "GE2", "GE3"])
+@_suite("generalized", "GE1", "GE2", "GE3")
+def suite_generalized(rng: random.Random, out: SuiteResult) -> None:
     pars = _rand_params(rng)
     n = rng.randint(0, 7)
     k = rng.randint(-3, 4)
@@ -283,11 +301,10 @@ def suite_generalized(rng: random.Random) -> SuiteResult:
         _poly_str(generalized.recurrence_I(n, kp, pos).poly),
         _poly_str(generalized.gpb_explicit(n, kp, pos).poly),
     )
-    return out
 
 
-def suite_appell(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("appell", ["GE4", "GE5", "GE6"])
+@_suite("appell", "GE4", "GE5", "GE6")
+def suite_appell(rng: random.Random, out: SuiteResult) -> None:
     pars = _rand_params(rng)
     n = rng.randint(1, 8)
     k = rng.randint(-3, 4)
@@ -312,11 +329,10 @@ def suite_appell(rng: random.Random) -> SuiteResult:
         _poly_str(generalized.multiplication_theorem(n, k, pars, factor)),
         _poly_str(scaled),
     )
-    return out
 
 
-def suite_power_sum(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("power-sum", ["GE7", "GE8"])
+@_suite("power-sum", "GE7", "GE8")
+def suite_power_sum(rng: random.Random, out: SuiteResult) -> None:
     n = rng.randint(1, 6)
     m_top = rng.randint(0, 12)
     ln_b = Fraction(rng.randint(1, 3), rng.randint(1, 2))
@@ -340,11 +356,10 @@ def suite_power_sum(rng: random.Random) -> SuiteResult:
         series.coefficient(order) * math.factorial(order),
         generalized.gen_bernoulli_poly(order, ln_a, ln_b2)(x0),
     )
-    return out
 
 
-def suite_duality(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("duality", ["SY1", "SY2", "SY3", "SY4"])
+@_suite("duality", "SY1", "SY2", "SY3", "SY4")
+def suite_duality(rng: random.Random, out: SuiteResult) -> None:
     pars = _rand_params(rng)
     n = rng.randint(0, 4)
     m = rng.randint(0, 4)
@@ -366,13 +381,10 @@ def suite_duality(rng: random.Random) -> SuiteResult:
         c_poly(Fraction(0), Fraction(0)),
         core.pb_number(n, -m),
     )
-    return out
 
 
-def suite_interpolation(rng: random.Random) -> SuiteResult:
-    out = SuiteResult(
-        "interpolation", ["ZE1", "ZE4", "ZE5"]
-    )
+@_suite("interpolation", "ZE1", "ZE4", "ZE5")
+def suite_interpolation(rng: random.Random, out: SuiteResult) -> None:
     pars = _rand_params(rng)
     n = rng.randint(0, 7)
     k = rng.randint(-3, 4)
@@ -390,7 +402,6 @@ def suite_interpolation(rng: random.Random) -> SuiteResult:
     )
     lhs, rhs = zeta.raabe_poly(n, k, pars, x)
     out.check(f"exact mean value n={n}, k={k}, x={x}", lhs, rhs)
-    return out
 
 
 def _seeded_query(rng: random.Random, precision=96) -> zeta.ZetaQuery:
@@ -404,8 +415,8 @@ def _seeded_query(rng: random.Random, precision=96) -> zeta.ZetaQuery:
     return zeta.ZetaQuery(k=k, s=s, x=x, params=pars, precision=precision)
 
 
-def suite_zeta_numeric(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("zeta-numeric", ["ZE2", "ZE3", "ZE6", "ZE7"])
+@_suite("zeta-numeric", "ZE2", "ZE3", "ZE6", "ZE7")
+def suite_zeta_numeric(rng: random.Random, out: SuiteResult) -> None:
     q = _seeded_query(rng)
     a = zeta.xi_series(q)
     b = zeta.xi_reduced(q)
@@ -456,11 +467,10 @@ def suite_zeta_numeric(rng: random.Random) -> SuiteResult:
         mp.nstr(a.error + sharper.error, 8),
         ok=abs(a.value - sharper.value) <= a.error + sharper.error,
     )
-    return out
 
 
-def suite_zeta_identities(rng: random.Random) -> SuiteResult:
-    out = SuiteResult("zeta-identities", ["ZE4", "ZE5"])
+@_suite("zeta-identities", "ZE4", "ZE5")
+def suite_zeta_identities(rng: random.Random, out: SuiteResult) -> None:
     q = _seeded_query(rng, precision=64)
     d = zeta.difference_series(q)
     shifted = zeta.ZetaQuery(
@@ -484,13 +494,12 @@ def suite_zeta_identities(rng: random.Random) -> SuiteResult:
             mp.nstr(rhs.value, 15),
             ok=abs(lhs.value - rhs.value) <= (lhs.error + rhs.error) * 4 + mp.ldexp(1, -40),
         )
-    return out
 
 
-def suite_cli_format(rng: random.Random) -> SuiteResult:
+@_suite("cli-format", "CL1", "CL2", "CL3")
+def suite_cli_format(rng: random.Random, out: SuiteResult) -> None:
     from . import cli
 
-    out = SuiteResult("cli-format", ["CL1", "CL2", "CL3"])
     argv = [
         "table", "--kind", "pb-number", "--n", "0:4", "--k=-2:2", "--format", "json",
     ]
@@ -522,42 +531,6 @@ def suite_cli_format(rng: random.Random) -> SuiteResult:
     out.check("oversize n exits with code 3", oversize, 3)
     out.check("empty range exits with code 3", empty, 3)
     out.check("unknown suite exits with code 2", unknown, 2)
-    return out
-
-
-SUITES: dict[str, Callable[[random.Random], SuiteResult]] = {
-    "exact-arith": suite_exact_arith,
-    "series": suite_series,
-    "core-recurrence": suite_core_recurrence,
-    "lonesum": suite_lonesum,
-    "generalized": suite_generalized,
-    "appell": suite_appell,
-    "power-sum": suite_power_sum,
-    "duality": suite_duality,
-    "interpolation": suite_interpolation,
-    "zeta-numeric": suite_zeta_numeric,
-    "zeta-identities": suite_zeta_identities,
-    "cli-format": suite_cli_format,
-}
-
-
-# Coverage table mirrored from the SuiteResult constructors; the registry
-# test asserts both that this table matches the constructors and that the
-# union over suites equals INVARIANTS.
-COVERS = {
-    "exact-arith": ["EA1", "EA2", "EA3", "EA4"],
-    "series": ["PS1", "PS2", "PS3", "PS4"],
-    "core-recurrence": ["CO1", "CO5", "CO6"],
-    "lonesum": ["CO2", "CO3", "CO4"],
-    "generalized": ["GE1", "GE2", "GE3"],
-    "appell": ["GE4", "GE5", "GE6"],
-    "power-sum": ["GE7", "GE8"],
-    "duality": ["SY1", "SY2", "SY3", "SY4"],
-    "interpolation": ["ZE1", "ZE4", "ZE5"],
-    "zeta-numeric": ["ZE2", "ZE3", "ZE6", "ZE7"],
-    "zeta-identities": ["ZE4", "ZE5"],
-    "cli-format": ["CL1", "CL2", "CL3"],
-}
 
 
 def run_suites(names: list | None, seed: int) -> dict:

@@ -19,8 +19,10 @@ other:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
 At s = -n the series truncates exactly and xi interpolates the polynomials:
-xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b); the exact-mode entry points
-(xi_exact_neg, difference_exact, raabe_poly) work in rational arithmetic.
+xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b).  The exact-mode entry points
+(xi_exact_neg, difference_exact and the right side of raabe_poly) are one
+literal truncated series in rational arithmetic, summed by _shifted_sum, and
+stay independent of the Kaneko number rows behind the polynomial families.
 
 The Hurwitz zeta oracle (direct summation plus Euler-Maclaurin tail with
 exact Bernoulli numbers) is implemented here rather than borrowed, because it
@@ -532,6 +534,23 @@ def xi_quadrature(query: ZetaQuery) -> NumericResult:
 # ---------------------------------------------------------------------------
 # Exact (negative-integer s) entry points.
 
+def _shifted_sum(
+    k: int, params: Params, x: Fraction, m_top: int, step: int, power: int
+) -> Fraction:
+    """sum_{m=0}^{m_top} (m+1)^(-k) sum_{j=0}^{m+step} (-1)^j C(m+step, j)
+    (x + j alpha + (j+1) beta)^power, exact: the truncated series behind
+    every exact-mode entry point."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for m in range(m_top + 1):
+        inner = Fraction(0)
+        for j in range(m + step + 1):
+            base = x + j * params.alpha + (j + 1) * params.beta
+            inner += (-1) ** j * binomial(m + step, j) * base**power
+        acc += inv_int_pow(m + 1, k) * inner
+    return acc
+
+
 def xi_exact_neg(k: int, n: int, params: Params, x: Fraction) -> Fraction:
     """xi_k(-n, x; a, b), exact: the series truncates at m = n.
 
@@ -539,30 +558,14 @@ def xi_exact_neg(k: int, n: int, params: Params, x: Fraction) -> Fraction:
     """
     if n < 0:
         raise ValueError("xi_exact_neg expects n >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for m in range(n + 1):
-        inner = Fraction(0)
-        for j in range(m + 1):
-            base = x + j * params.alpha + (j + 1) * params.beta
-            inner += (-1) ** j * binomial(m, j) * base**n
-        acc += inv_int_pow(m + 1, k) * inner
-    return acc
+    return _shifted_sum(k, params, x, n, 0, n)
 
 
 def difference_exact(k: int, n: int, params: Params, x: Fraction) -> Fraction:
     """xi_k(-n, x + alpha + beta) - xi_k(-n, x), exact: truncates at m = n-1."""
     if n < 0:
         raise ValueError("difference_exact expects n >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for m in range(n):
-        inner = Fraction(0)
-        for j in range(m + 2):
-            base = x + j * params.alpha + (j + 1) * params.beta
-            inner += (-1) ** (j + 1) * binomial(m + 1, j) * base**n
-        acc += inv_int_pow(m + 1, k) * inner
-    return acc
+    return -_shifted_sum(k, params, x, n - 1, 1, n)
 
 
 def difference_series(query: ZetaQuery) -> NumericResult:
@@ -595,14 +598,7 @@ def raabe_poly(n: int, k: int, params: Params, x: Fraction) -> tuple[Fraction, F
     L = params.log_sum
     anti = gpb_explicit(n, k, params).poly.antiderivative()
     lhs = anti(x) - anti(x - L)
-    acc = Fraction(0)
-    for m in range(n + 1):
-        inner = Fraction(0)
-        for j in range(m + 2):
-            base = x - j * params.alpha - (j + 1) * params.beta
-            inner += (-1) ** j * binomial(m + 1, j) * base ** (n + 1)
-        acc += inv_int_pow(m + 1, k) * inner
-    rhs = acc / (n + 1)
+    rhs = (-1) ** (n + 1) * _shifted_sum(k, params, -x, n, 1, n + 1) / (n + 1)
     return lhs, rhs
 
 

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
-from polybernoulli import Params
+from polybernoulli import Params, Poly1
+
+CLASSICAL = Params(Fraction(1), Fraction(0))
 
 
 def rand_rat(rng: random.Random, lo=-8, hi=8, den_max=6, nonzero=False) -> Fraction:
@@ -22,3 +25,24 @@ def rand_params(rng: random.Random, positive=False) -> Params:
             beta = rand_rat(rng, -5, 5, 4)
         if alpha + beta != 0:
             return Params(alpha, beta)
+
+
+def literal_double_sum(n, k, params=CLASSICAL) -> Poly1:
+    """The defining double sum, expanded term by term:
+
+        sum_{m=0}^{n} (m+1)^(-k) sum_{j=0}^{m} (-1)^j C(m,j)
+            (gamma x - j alpha - (j+1) beta)^n
+
+    with each power expanded by the binomial theorem.  No summation swap, no
+    number table, no caching: the oracle for every exact polynomial family.
+    """
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
+    coeffs = [Fraction(0)] * (n + 1)
+    for m in range(n + 1):
+        weight = Fraction(m + 1) ** -k
+        for j in range(m + 1):
+            shift = j * alpha + (j + 1) * beta
+            outer = weight * (-1) ** j * comb(m, j)
+            for i in range(n + 1):
+                coeffs[i] += outer * comb(n, i) * gamma**i * (-shift) ** (n - i)
+    return Poly1(coeffs)

@@ -43,7 +43,7 @@ from polybernoulli import (
 )
 from polybernoulli.polyseries import gf_kernel, polylog_neg_rational, polylog_series
 
-from conftest import rand_params, rand_rat
+from conftest import literal_double_sum, rand_params, rand_rat
 
 CLASSICAL = Params(Fraction(1), Fraction(0))
 
@@ -72,8 +72,8 @@ def report(label, detail, b):
 
 
 def test_criterion_01_explicit_formula_equals_scaling():
-    """Explicit double sum == scaled classical polynomial, exact, n<=8,
-    -3<=k<=4, 5 seeded params; < 5 s."""
+    """Explicit formula == scaled classical polynomial == literal double
+    sum, exact, n<=8, -3<=k<=4, 5 seeded params; < 5 s."""
     rng = random.Random(1001)
     with budget(5) as b:
         checked = 0
@@ -81,10 +81,9 @@ def test_criterion_01_explicit_formula_equals_scaling():
             params = rand_params(rng)
             for n in range(9):
                 for k in range(-3, 5):
-                    assert (
-                        gpb_explicit(n, k, params).poly
-                        == scale_from_classical(n, k, params).poly
-                    ), (n, k, params)
+                    explicit = gpb_explicit(n, k, params).poly
+                    assert explicit == scale_from_classical(n, k, params).poly, (n, k, params)
+                    assert explicit == literal_double_sum(n, k, params), (n, k, params)
                     checked += 1
     report("criterion 1", f"{checked} exact polynomial equalities", b)
 

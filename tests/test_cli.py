@@ -194,6 +194,27 @@ def test_exit_code_oversize(capsys):
     assert code == 3
 
 
+def test_exit_code_table_over_value_cap(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a refused table must not compute anything")
+
+    monkeypatch.setattr(cli, "gpb_explicit", no_work)
+    monkeypatch.setattr(cli, "sym_def", no_work)
+    code, out, err = run_main(
+        ["table", "--kind", "gpb-poly", "--n", "0:64", "--k=-64:64"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "276705 output values" in err
+    code, _, _ = run_main(["table", "--kind", "sym-poly", "--n", "0:20", "--m", "0:20"], capsys)
+    assert code == 3
+    # The full number grid is 8,385 values and stays within the cap.
+    code, out, _ = run_main(
+        ["table", "--kind", "pb-number", "--n", "0:64", "--k=-64:64", "--format", "csv"], capsys
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 65 * 129
+
+
 def test_exit_code_bad_request(capsys):
     code, _, _ = run_main(["verify", "--suite", "no-such-suite"], capsys)
     assert code == 2

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
@@ -16,20 +16,12 @@ from polybernoulli import (
     pb_poly,
 )
 
-from conftest import rand_rat
+from conftest import literal_double_sum, rand_rat
 
 
 def brute_double_sum(n, k, x):
-    """Literal double sum, no summation swap, no caching."""
-    total = Fraction(0)
-    for m in range(n + 1):
-        inner = sum(
-            (-1) ** j * comb(m, j) * (Fraction(x) - j) ** n for j in range(m + 1)
-        )
-        total += Fraction(inner) / Fraction(m + 1) ** k if k >= 0 else Fraction(
-            inner
-        ) * Fraction(m + 1) ** (-k)
-    return total
+    """Literal double sum at classical parameters, evaluated at x."""
+    return literal_double_sum(n, k)(Fraction(x))
 
 
 def test_pb_poly_matches_literal_double_sum():
@@ -38,6 +30,40 @@ def test_pb_poly_matches_literal_double_sum():
         for k in range(-4, 5):
             x = rand_rat(rng, -5, 5, 4)
             assert pb_poly(n, k)(x) == brute_double_sum(n, k, x), (n, k)
+
+
+def test_number_row_grows_once_under_concurrent_readers():
+    # One row per k, grown to the largest n asked for; threads growing it at
+    # the same time must neither skip nor repeat an entry.
+    import sys
+    import threading
+
+    from polybernoulli import core
+
+    k = 97  # beyond the CLI's index limit, so no other test grows this row
+    core._PB_ROWS.pop(k, None)
+    tops = [39, 12, 30, 5, 39, 21, 8, 33]
+    seen = {}
+
+    def read(i):
+        seen[i] = [pb_number(n, k) for n in range(tops[i] + 1)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(tops))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    row = core._PB_ROWS[k]
+    assert len(row) == max(tops) + 1
+    assert row == [core._kaneko(n, k) for n in range(len(row))]
+    for i, top in enumerate(tops):
+        assert seen[i] == row[: top + 1]
 
 
 def test_pb_poly_is_monic_of_degree_n():

@@ -24,7 +24,7 @@ from polybernoulli import (
     scale_from_classical,
 )
 
-from conftest import rand_params, rand_rat
+from conftest import literal_double_sum, rand_params, rand_rat
 
 CLASSICAL = Params(Fraction(1), Fraction(0))
 
@@ -54,6 +54,17 @@ def test_explicit_equals_scaling_route():
                 lhs = gpb_explicit(n, k, params)
                 rhs = scale_from_classical(n, k, params)
                 assert lhs.poly == rhs.poly, (n, k, params)
+                assert lhs.poly == literal_double_sum(n, k, params), (n, k, params)
+
+
+def test_explicit_matches_literal_sum_at_degree_24_large_params():
+    # Beyond the n <= 8 grids: the number-row route against the literal sum
+    # at the parameters of the CLI's large-parameter requests.
+    two = Params(Fraction(1000000, 7), Fraction(1, 999999))
+    three = Params(two.alpha, two.beta, Fraction(2, 3))
+    for k in (-24, 5):
+        assert gpb_explicit(24, k, two).poly == literal_double_sum(24, k, two), k
+        assert gpb_explicit_c(24, k, three).poly == literal_double_sum(24, k, three), k
 
 
 def test_gpb_validate_checks_shape():
@@ -79,6 +90,7 @@ def test_three_parameter_is_substitution_of_two_parameter():
                 two = gpb_explicit(n, k, params).poly
                 three = gpb_explicit_c(n, k, params).poly
                 assert three(x) == two(params.gamma * x)
+                assert three == literal_double_sum(n, k, params), (n, k, params)
 
 
 def test_gpb_number_is_constant_coefficient():
