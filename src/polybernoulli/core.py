@@ -35,6 +35,7 @@ __all__ = [
 
 _ROW_LOCK = threading.RLock()
 _PB_ROWS: dict[int, list[Fraction]] = {}
+_BERNOULLI_ROWS: dict[None, list[Fraction]] = {}  # one row
 
 
 def _grown_row(rows: dict, key, n: int, entry: Callable[[int], Fraction]) -> list:
@@ -117,22 +118,21 @@ def bernoulli_poly(n: int) -> Poly1:
     return Poly1(_appell([(-1) ** m * b for m, b in enumerate(row[: n + 1])], n))
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(n: int) -> tuple[Fraction, ...]:
-    # C(m+1, j) recurrence; independent of bernoulli_poly and cheap enough
-    # for the Euler-Maclaurin tails that need a few hundred of them.
-    vals = [Fraction(1)]
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += binomial(m + 1, j) * vals[j]
-        vals.append(-acc / (m + 1))
-    return tuple(vals)
+def _bernoulli(m: int) -> Fraction:
+    # C(m+1, j) recurrence over the entries already in the row; independent
+    # of bernoulli_poly and cheap enough for the Euler-Maclaurin tails that
+    # need a few hundred of them.
+    if m == 0:
+        return Fraction(1)
+    row = _BERNOULLI_ROWS[None]
+    return -sum(binomial(m + 1, j) * row[j] for j in range(m)) / (m + 1)
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
     """B_0 .. B_n (B_1 = -1/2), via the classical binomial-sum recurrence."""
-    return list(_bernoulli_upto(n))
+    if n < 0:
+        raise ValueError("Bernoulli index n must be >= 0, got %d" % n)
+    return _grown_row(_BERNOULLI_ROWS, None, n, _bernoulli)[: n + 1]
 
 
 def _is_staircase_orderable(rows: tuple[int, ...], width: int) -> bool:

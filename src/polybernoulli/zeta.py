@@ -10,11 +10,21 @@ other:
 * xi_series sums the expanded form
   sum_n (n+1)^(-k) sum_j (-1)^j C(n,j) (x + j alpha + (j+1) beta)^(-s).
   The outer terms decay like n^(-(k + (x+beta)/(alpha+beta))) so this route is
-  fast only when (x+beta)/(alpha+beta) is comfortably large; the inner
-  alternating sums lose about n bits to cancellation, which the engine
-  provisions for by restarting at a higher working precision.
+  fast only when (x+beta)/(alpha+beta) is comfortably large.  The inner sum
+  is the n-th difference of f(j) = (x + j alpha + (j+1) beta)^(-s); the
+  engine keeps the running edge of that difference table, so outer term n
+  costs one new power and n subtractions.  The differences lose about n bits
+  to cancellation, which the engine provisions for by restarting at a higher
+  working precision; its rounding bound, (n+2)(d+2) 2^(d + f0_bits - wp) for
+  n + 1 terms up to difference order d with |f| <= 2^f0_bits, is derived at
+  _difference_series_sum.
 * xi_quadrature integrates the kernel directly (tanh-sinh on [0, t0, 1] plus
-  [1, T] with an explicit exponential tail bound at the cutoff T).
+  [1, T] with an explicit exponential tail bound at the cutoff T).  The
+  kernel's Li_k(1 - e^(-v)) sums the expansion around z = 1 in
+  mu = log1p(-e^(-v)) over one coefficient list zeta(k-j)/j! per (k, working
+  precision), built once and cached; the sum stops after two consecutive
+  nonzero terms beyond j = k fall below the working epsilon: zeta(k-j)
+  grows like (j-k)!/(2 pi)^(j-k), so mu^j/j! alone does not bound a term.
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -38,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
@@ -133,12 +144,6 @@ def _rat_mpf(q) -> "mp.mpf":
 # ---------------------------------------------------------------------------
 # Hurwitz zeta oracle: direct sum + Euler-Maclaurin tail, exact Bernoullis.
 
-def _bernoulli_bucketed(m: int) -> Fraction:
-    # Round the table length up so repeated growth hits the same cache key.
-    table = bernoulli_numbers(((m // 64) + 1) * 64)
-    return table[m]
-
-
 def hurwitz_zeta(s, a, precision: int) -> tuple:
     """zeta(s, a) = sum_{n>=0} (n+a)^(-s) for real s != 1, a > 0.
 
@@ -174,7 +179,7 @@ def hurwitz_zeta(s, a, precision: int) -> tuple:
             r = 1
             err = None
             while True:
-                b2r = _bernoulli_bucketed(2 * r)
+                b2r = bernoulli_numbers(2 * r)[2 * r]
                 term = _rat_mpf(b2r) / math.factorial(2 * r) * poch * wpow
                 mag = abs(term)
                 if mag < target:
@@ -193,29 +198,48 @@ def hurwitz_zeta(s, a, precision: int) -> tuple:
     raise ToleranceError("hurwitz_zeta failed to reach its target", estimate=prev_mag)
 
 
-_ZETA_CACHE: dict = {}
-
-
-def _zeta_value(m: int, wp: int):
-    """zeta(m) for integer m >= 2 at wp bits, cached."""
-    key = (m, wp)
-    if key not in _ZETA_CACHE:
-        value, _err = hurwitz_zeta(Fraction(m), Fraction(1), wp)
-        _ZETA_CACHE[key] = value
-    return _ZETA_CACHE[key]
-
-
 # ---------------------------------------------------------------------------
 # Polylogarithm on the kernel argument z = 1 - e^(-v), v > 0.
+
+@lru_cache(maxsize=16)
+def _kernel_coefficients(k: int, wp: int) -> tuple:
+    """c_j = zeta(k-j)/j! at wp bits, with H_(k-1)/(k-1)! at j = k-1, for
+    Li_k(e^mu) = sum_j c_j mu^j - ln(-mu) mu^(k-1)/(k-1)!.  The list ends
+    after two consecutive nonzero c_j with j > k have |c_j| ln(2)^j below
+    2^-(wp+4), so it covers every |mu| <= ln 2."""
+    with mp.workprec(wp):
+        eps = mp.ldexp(1, -(wp + 4))
+        ln2 = +mp.ln2
+        coeffs = []
+        quiet = 0
+        j = 0
+        while quiet < 2:
+            m = k - j
+            if m >= 2:
+                zeta_m = hurwitz_zeta(Fraction(m), Fraction(1), wp)[0]
+            elif m == 1:  # in place of the pole: H_(k-1)
+                zeta_m = _rat_mpf(sum(Fraction(1, i) for i in range(1, k)))
+            elif m == 0:
+                zeta_m = mp.mpf(-0.5)
+            else:  # zeta(-n) = -B_(n+1)/(n+1)
+                zeta_m = _rat_mpf(-bernoulli_numbers(1 - m)[1 - m] / (1 - m))
+            coeff = zeta_m / math.factorial(j)
+            coeffs.append(coeff)
+            if j > k and coeff:
+                quiet = quiet + 1 if abs(coeff) * ln2**j < eps else 0
+            j += 1
+        return tuple(coeffs)
+
 
 def polylog_on_kernel(k: int, v) -> "mp.mpf":
     """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at current precision.
 
     For z = 1 - e^(-v) <= 1/2 the defining series is summed directly; closer
-    to 1 the expansion of Li_k around z = 1 in powers of mu = ln z is used,
-    with mu computed stably as ln(2 sinh(v/2)) - v/2 and the zeta constants
-    supplied by the in-package Hurwitz oracle and exact Bernoulli numbers
-    (zeta(0) = -1/2, zeta(-m) = -B_{m+1}/(m+1)).
+    to 1 the expansion of Li_k around z = 1 in powers of mu = ln z =
+    log1p(-e^(-v)) is summed over the coefficient list of
+    _kernel_coefficients (zeta constants from the in-package Hurwitz oracle
+    and exact Bernoulli numbers).  That sum stops after two consecutive
+    nonzero terms c_j mu^j with j > k fall below 2^-(wp+4).
     """
     if k < 1:
         raise ValueError("polylog_on_kernel needs k >= 1")
@@ -228,47 +252,29 @@ def polylog_on_kernel(k: int, v) -> "mp.mpf":
         return v  # -ln(1 - z) with z = 1 - e^(-v)
     wp = mp.prec
     eps = mp.ldexp(1, -(wp + 4))
-    if v <= math.log(2):
+    if v <= mp.ln2:
         z = -mp.expm1(-v)
-        term = mp.mpf(z)
-        acc = term
+        zpow = acc = term = z
         n = 1
         while abs(term) > eps:
             n += 1
-            term = z**n / mp.mpf(n) ** k
+            zpow *= z
+            term = zpow / mp.mpf(n) ** k
             acc += term
         return acc
-    # mu = ln(1 - e^(-v)) < 0, |mu| < ln 2.  The sinh form is stable for
-    # moderate v; once e^(-v) dips below ~2^(-wp/3) switch to the series in
-    # w = e^(-v), which never cancels.
-    w = mp.exp(-v)
-    if w < mp.ldexp(1, -(wp // 3)):
-        mu = -(w + w * w / 2 + w * w * w / 3)
-    else:
-        mu = mp.log(2 * mp.sinh(v / 2)) - v / 2
-    harmonic = sum(Fraction(1, i) for i in range(1, k))
-    mupow = mp.mpf(1)  # mu^j / j!
-    acc = mp.mpf(0)
-    j = 0
+    mu = mp.log1p(-mp.exp(-v))  # in (-ln 2, 0)
+    acc = -mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
+    mupow = mp.mpf(1)
     quiet = 0
-    while quiet < 2:
-        if j == k - 1:
-            acc += mupow * (_rat_mpf(harmonic) - mp.log(-mu))
-        else:
-            m = k - j
-            if m >= 2:
-                zeta_m = _zeta_value(m, wp)
-            elif m == 0:
-                zeta_m = mp.mpf(-0.5)
-            else:  # m <= -1: zeta(-|m|) from Bernoulli numbers
-                idx = -m + 1
-                zeta_m = -_rat_mpf(_bernoulli_bucketed(idx)) / idx
-            term = zeta_m * mupow
+    for j, coeff in enumerate(_kernel_coefficients(k, wp)):
+        if coeff:
+            term = coeff * mupow
             acc += term
-            if j > k and abs(mupow) < eps:
-                quiet += 1
-        j += 1
-        mupow = mupow * mu / j
+            if j > k:
+                quiet = quiet + 1 if abs(term) < eps else 0
+                if quiet == 2:
+                    break
+        mupow *= mu
     return acc
 
 
@@ -285,101 +291,67 @@ def _difference_series_sum(
     precision: int,
     max_terms: int,
 ) -> NumericResult:
-    """sum_{m>=0} (m+1)^(-k) sum_{j=0}^{m+d} (-1)^j C(m+d, j) base_j^(-s)
-    with d = shift and base_j = x + j alpha + (j+1) beta.
+    """sum_{m>=0} (m+1)^(-k) sum_{j=0}^{m+d} (-1)^j C(m+d, j) f(j)
+    with d = shift, f(j) = base_j^(-s) and base_j = x + j alpha + (j+1) beta.
 
-    Stops at the first index where three consecutive outer terms fall below
-    2^-(precision+8) in absolute value; raises NonConvergenceError when
-    max_terms is hit first.  The reported error adds a power-law tail fit to
-    the accumulated rounding bound.  x may be a Fraction or an mpf (the
-    latter is used by quadrature over x).
+    The inner sum at d = m + shift is the d-th difference g_d(0) of the
+    table g_0 = f, g_i(j) = g_(i-1)(j) - g_(i-1)(j+1); `edge` keeps its
+    anti-diagonal g_i(d-i), so each outer term costs one power and d
+    subtractions.  Stops at the first index where three consecutive outer
+    terms fall below 2^-(precision+8) in absolute value; raises
+    NonConvergenceError when max_terms is hit first.  x may be a Fraction or
+    an mpf (the latter is used by quadrature over x).
+
+    The differences cancel about d bits, so the working precision carries a
+    cancellation budget; once d would exceed it the sum restarts from the
+    first term at a larger budget.  The reported error adds a power-law tail
+    fit to a rounding bound: with |f| <= 2^f0_bits and each f(j) within one
+    rounding, 2^(f0_bits - wp), entry i of the edge has |g_i| <=
+    2^(i + f0_bits) and carries at most (i+1) 2^(i + f0_bits - wp) (the error
+    of its two inputs plus one rounding), so n + 1 outer terms up to
+    d = n + shift, divided and added, carry at most
+    (n+2)(d+2) 2^(d + f0_bits - wp).
     """
-    s = Fraction(s)
-    threshold_exp = precision + 8
+    threshold = mp.ldexp(1, -(precision + 8))
     cancel_budget = 96
     while True:
-        out = _series_attempt(
-            k, s, x, alpha, beta, shift, precision, max_terms, threshold_exp, cancel_budget
-        )
-        if isinstance(out, NumericResult):
-            return out
-        cancel_budget = out  # provision more bits and rerun
-
-
-def _series_attempt(
-    k, s, x, alpha, beta, shift, precision, max_terms, threshold_exp, cancel_budget
-):
-    wp = precision + GUARD_BITS + 24 + cancel_budget
-    with mp.workprec(wp):
-        s_m = _rat_mpf(s)
-        if isinstance(x, Fraction):
-            def base(j: int):
-                return _rat_mpf(x + j * alpha + (j + 1) * beta)
-        else:
-            alpha_m = _rat_mpf(alpha)
-            beta_m = _rat_mpf(beta)
-            x_m = mp.mpf(x)
-
-            def base(j: int):
-                return x_m + j * alpha_m + (j + 1) * beta_m
-
-        threshold = mp.ldexp(1, -threshold_exp)
-        f_cache: list = []
-
-        def f(j: int):
-            while len(f_cache) <= j:
-                f_cache.append(base(len(f_cache)) ** (-s_m))
-            return f_cache[j]
-
-        f0_mag = int(mp.mag(f(0)))
-        total = mp.mpf(0)
-        recent: dict[int, object] = {}
-        max_addend_bits = f0_mag
-        row = [1]
-        for _ in range(shift):
-            row = _pascal_next(row)
-        consecutive = 0
-        stop_at = None
-        for m in range(max_terms):
-            d = m + shift
-            needed = d + max(f0_mag, 0) + 40
-            if needed > cancel_budget + GUARD_BITS:
-                return max(2 * (d + max(f0_mag, 0)) + 80, cancel_budget * 2)
-            inner = mp.mpf(0)
-            for j in range(d + 1):
-                c = row[j] * f(j)
-                inner = inner - c if j & 1 else inner + c
-            max_addend_bits = max(max_addend_bits, row[d // 2].bit_length() + f0_mag)
-            term = inner / mp.mpf(m + 1) ** k
-            total += term
-            recent[m] = abs(term)
-            if m - 16 in recent:
-                del recent[m - 16]
-            if abs(term) < threshold:
-                consecutive += 1
-                if consecutive >= 3:
-                    stop_at = m
+        wp = precision + GUARD_BITS + 24 + cancel_budget
+        with mp.workprec(wp):
+            neg_s = -_rat_mpf(s)
+            # x + ... stays a Fraction, rounded once by mp.convert, when x is
+            # rational; f decreases in j, so f(0) bounds it.  top_d is the
+            # largest difference order the cancellation budget covers.
+            f0_bits = mp.mag(mp.convert(x + beta) ** neg_s)
+            top_d = cancel_budget + GUARD_BITS - 40 - max(f0_bits, 0)
+            edge: list = []
+            total = mp.mpf(0)
+            recent: dict[int, object] = {}
+            consecutive = 0
+            for d in range(shift + max_terms):
+                m = d - shift
+                if m >= 0 and d > top_d:
                     break
+                g = mp.convert(x + (d * alpha + (d + 1) * beta)) ** neg_s
+                for i, e in enumerate(edge):
+                    edge[i], g = g, e - g
+                edge.append(g)
+                if m < 0:
+                    continue
+                term = g / mp.mpf(m + 1) ** k
+                total += term
+                recent[m] = abs(term)
+                recent.pop(m - 16, None)
+                consecutive = consecutive + 1 if abs(term) < threshold else 0
+                if consecutive == 3:
+                    rounding = mp.ldexp((m + 2) * (d + 2), d + f0_bits - wp)
+                    return NumericResult(total, _tail_fit(recent, m, threshold) + rounding, m + 1)
             else:
-                consecutive = 0
-            row = _pascal_next(row)
-        if stop_at is None:
-            raise NonConvergenceError(
-                "series did not meet the stopping rule within %d terms" % max_terms,
-                terms=max_terms,
-                last_term=recent.get(max_terms - 1),
-            )
-        n_stop = stop_at
-        rounding = mp.ldexp(n_stop + 2, max_addend_bits + (n_stop + 2).bit_length() - wp)
-        tail = _tail_fit(recent, n_stop, threshold)
-        return NumericResult(total, tail + rounding, n_stop + 1)
-
-
-def _pascal_next(row: list) -> list:
-    out = [1] * (len(row) + 1)
-    for i in range(1, len(row)):
-        out[i] = row[i - 1] + row[i]
-    return out
+                raise NonConvergenceError(
+                    "series did not meet the stopping rule within %d terms" % max_terms,
+                    terms=max_terms,
+                    last_term=recent.get(max_terms - 1),
+                )
+        cancel_budget = max(2 * (d + max(f0_bits, 0)) + 80, 2 * cancel_budget)
 
 
 def _tail_fit(recent: dict, n_stop: int, threshold):

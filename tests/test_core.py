@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 
 from polybernoulli import (
     bernoulli_numbers,
     bernoulli_poly,
+    core,
     lonesum_count,
     pb_number,
     pb_number_neg_closed,
@@ -161,6 +163,21 @@ def test_bernoulli_numbers_match_polynomials_at_zero():
     assert vals[1] == Fraction(-1, 2)
     for n, v in enumerate(vals):
         assert v == bernoulli_poly(n)(0)
+
+
+def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
+    # Start from an empty row and ask out of order, so the row grows past 64
+    # and 128 entries in several steps; mpmath.bernfrac is exact, B_1 = -1/2.
+    monkeypatch.setattr(core, "_BERNOULLI_ROWS", {})
+    for m in (65, 2, 128, 1, 63, 200, 64, 127):
+        assert bernoulli_numbers(m)[m] == Fraction(*mpmath.bernfrac(m)), m
+    assert bernoulli_numbers(200) == [Fraction(*mpmath.bernfrac(m)) for m in range(201)]
+    vals = bernoulli_numbers(10)
+    vals[3] = Fraction(99)
+    vals.append(Fraction(7))
+    assert bernoulli_numbers(10) == [Fraction(*mpmath.bernfrac(m)) for m in range(11)]
+    with pytest.raises(ValueError):
+        bernoulli_numbers(-1)
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():

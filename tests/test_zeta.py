@@ -99,6 +99,17 @@ def test_polylog_on_kernel_matches_reference():
             z = -mp.expm1(-mp.mpf(v_text))
             ref = mpmath.polylog(k, z)
             assert abs(got - ref) < abs(ref) * mp.ldexp(1, -88), (k, v_text)
+    # The expansion around z = 1 must reach the working precision, including
+    # v just above ln 2, where |mu| = |ln z| is largest and the coefficients
+    # zeta(k-j)/j! shrink only like (2 pi)^-j.
+    for wp in (184, 312):
+        for k in (2, 3):
+            for v_text in ("0.6932", "1.0", "2.5", "40"):
+                with mp.workprec(wp):
+                    got = polylog_on_kernel(k, mp.mpf(v_text))
+                with mp.workprec(wp + 400):
+                    ref = mpmath.polylog(k, -mp.expm1(-mp.mpf(v_text)))
+                    assert abs(got - ref) < abs(ref) * mp.ldexp(1, -(wp - 8)), (wp, k, v_text)
 
 
 def test_polylog_on_kernel_small_v_direct_series():
@@ -237,6 +248,27 @@ def test_error_estimates_cover_sharper_rerun():
     with mp.workprec(140):
         assert abs(res.value - sharper.value) <= res.error + sharper.error
         assert sharper.error <= res.error
+
+
+def test_reduced_and_quadrature_errors_cover_sharper_rerun():
+    def sharper(q):
+        return ZetaQuery(k=q.k, s=q.s, x=q.x, params=q.params, precision=q.precision + 48)
+
+    rng = random.Random(612)
+    for _ in range(3):
+        q = seeded_query(rng, precision=96)
+        for route in (xi_reduced, xi_quadrature):
+            res, ref = route(q), route(sharper(q))
+            with mp.workprec(200):
+                assert abs(res.value - ref.value) <= res.error, (route.__name__, q)
+    # At 256 bits the polylogarithm expansion must reach the working
+    # precision; the reduced route is left out here, since its series does
+    # not meet the stopping rule within 4096 terms at this query.
+    q = ZetaQuery(k=2, s=Fraction(3, 2), x=Fraction(30),
+                  params=Params(Fraction(1), Fraction(1, 2)), precision=256)
+    res, ref = xi_quadrature(q), xi_quadrature(sharper(q))
+    with mp.workprec(360):
+        assert abs(res.value - ref.value) <= res.error
 
 
 def test_results_carry_term_counts():
