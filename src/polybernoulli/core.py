@@ -35,6 +35,7 @@ __all__ = [
 
 _ROW_LOCK = threading.RLock()
 _PB_ROWS: dict[int, list[Fraction]] = {}
+_KANEKO_WEIGHTS: dict[None, list[tuple[int, ...]]] = {}  # n: (-1)^m m! S(n,m)
 _BERNOULLI_ROWS: dict[None, list[Fraction]] = {}  # one row
 
 
@@ -52,10 +53,11 @@ def _kaneko(n: int, k: int) -> Fraction:
     # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, summed as integers over the
     # common denominator lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
     lcm = math.lcm(*range(1, n + 2)) if k > 0 else 1
+    weights = _grown_row(_KANEKO_WEIGHTS, None, n, lambda i: tuple(
+        (-1) ** m * math.factorial(m) * stirling2(i, m) for m in range(i + 1)))[n]
     num = sum(
-        (-1) ** m * math.factorial(m) * stirling2(n, m)
-        * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
-        for m in range(n + 1)
+        w * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
+        for m, w in enumerate(weights)
     )
     return Fraction((-1) ** n * num, lcm ** max(k, 0))
 

@@ -12,9 +12,10 @@ other:
   The outer terms decay like n^(-(k + (x+beta)/(alpha+beta))) so this route is
   fast only when (x+beta)/(alpha+beta) is comfortably large.  The inner sum
   is the n-th difference of f(j) = (x + j alpha + (j+1) beta)^(-s); the
-  engine keeps the running edge of that difference table, so outer term n
-  costs one new power and n subtractions.  The differences lose about n bits
-  to cancellation, which the engine provisions for by restarting at a higher
+  engine keeps the running edge of that difference table as integers at the
+  fixed scale 2^-(wp + e - f0_bits), so outer term n costs one new power and
+  n exact integer subtractions.  The differences lose about n bits to
+  cancellation, which the engine provisions for by restarting at a higher
   working precision; its rounding bound, (n+2)(d+2) 2^(d + f0_bits - wp) for
   n + 1 terms up to difference order d with |f| <= 2^f0_bits, is derived at
   _difference_series_sum.
@@ -25,6 +26,8 @@ other:
   precision), built once and cached; the sum stops after two consecutive
   nonzero terms beyond j = k fall below the working epsilon: zeta(k-j)
   grows like (j-k)!/(2 pi)^(j-k), so mu^j/j! alone does not bound a term.
+  Both that sum and the direct series for z <= 1/2 run on integers at the
+  fixed scale 2^-(wp + 24); polylog_on_kernel bounds their truncations.
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -52,6 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .core import bernoulli_numbers
 from .exact_arith import binomial, inv_int_pow
@@ -201,13 +205,17 @@ def hurwitz_zeta(s, a, precision: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Polylogarithm on the kernel argument z = 1 - e^(-v), v > 0.
 
+_FIXED_GUARD = 24  # bits the fixed-point sums carry beyond the working precision
+
+
 @lru_cache(maxsize=16)
 def _kernel_coefficients(k: int, wp: int) -> tuple:
-    """c_j = zeta(k-j)/j! at wp bits, with H_(k-1)/(k-1)! at j = k-1, for
-    Li_k(e^mu) = sum_j c_j mu^j - ln(-mu) mu^(k-1)/(k-1)!.  The list ends
-    after two consecutive nonzero c_j with j > k have |c_j| ln(2)^j below
-    2^-(wp+4), so it covers every |mu| <= ln 2."""
-    with mp.workprec(wp):
+    """c_j = zeta(k-j)/j! as integers at scale 2^(wp + _FIXED_GUARD), with
+    H_(k-1)/(k-1)! at j = k-1, for Li_k(e^mu) = sum_j c_j mu^j -
+    ln(-mu) mu^(k-1)/(k-1)!.  The list ends after two consecutive nonzero c_j
+    with j > k have |c_j| ln(2)^j below 2^-(wp+4), so it covers every
+    |mu| <= ln 2."""
+    with mp.workprec(wp + _FIXED_GUARD):
         eps = mp.ldexp(1, -(wp + 4))
         ln2 = +mp.ln2
         coeffs = []
@@ -224,7 +232,7 @@ def _kernel_coefficients(k: int, wp: int) -> tuple:
             else:  # zeta(-n) = -B_(n+1)/(n+1)
                 zeta_m = _rat_mpf(-bernoulli_numbers(1 - m)[1 - m] / (1 - m))
             coeff = zeta_m / math.factorial(j)
-            coeffs.append(coeff)
+            coeffs.append(to_fixed(coeff._mpf_, wp + _FIXED_GUARD))
             if j > k and coeff:
                 quiet = quiet + 1 if abs(coeff) * ln2**j < eps else 0
             j += 1
@@ -232,14 +240,22 @@ def _kernel_coefficients(k: int, wp: int) -> tuple:
 
 
 def polylog_on_kernel(k: int, v) -> "mp.mpf":
-    """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at current precision.
+    """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at current precision wp.
 
-    For z = 1 - e^(-v) <= 1/2 the defining series is summed directly; closer
-    to 1 the expansion of Li_k around z = 1 in powers of mu = ln z =
+    For z = 1 - e^(-v) <= 1/2 the defining series is summed directly, as
+    z S with S = sum_n z^(n-1)/n^k in [1, 2), so that the result keeps its
+    relative accuracy at tiny z; S stops at the first term below 2^-(wp+4).
+    Closer to 1 the expansion of Li_k around z = 1 in powers of mu = ln z =
     log1p(-e^(-v)) is summed over the coefficient list of
     _kernel_coefficients (zeta constants from the in-package Hurwitz oracle
     and exact Bernoulli numbers).  That sum stops after two consecutive
     nonzero terms c_j mu^j with j > k fall below 2^-(wp+4).
+    Both sums run on integers at scale 2^(wp + G), G = _FIXED_GUARD, each
+    product truncated.  With |z|, |mu| <= ln 2 a running power is off by at
+    most 2/(1 - ln 2) < 7 units of 2^-(wp+G) and a term (|c_j| < 2) by 17; at
+    most k + wp terms keep the truncations below 2^-(wp+4) while
+    k + wp <= 2^(G-4)/17.  Entry and exit round once each at wp bits,
+    relative to S >= 1, or to Li_k >= 1/2 on the expansion branch.
     """
     if k < 1:
         raise ValueError("polylog_on_kernel needs k >= 1")
@@ -251,31 +267,34 @@ def polylog_on_kernel(k: int, v) -> "mp.mpf":
     if k == 1:
         return v  # -ln(1 - z) with z = 1 - e^(-v)
     wp = mp.prec
-    eps = mp.ldexp(1, -(wp + 4))
+    scale = wp + _FIXED_GUARD
+    eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
     if v <= mp.ln2:
         z = -mp.expm1(-v)
-        zpow = acc = term = z
+        z_fixed = to_fixed(z._mpf_, scale)
+        zpow = acc = term = 1 << scale
         n = 1
-        while abs(term) > eps:
+        while term > eps:
             n += 1
-            zpow *= z
-            term = zpow / mp.mpf(n) ** k
+            zpow = zpow * z_fixed >> scale
+            term = zpow // n**k
             acc += term
-        return acc
+        return z * mp.ldexp(acc, -scale)
     mu = mp.log1p(-mp.exp(-v))  # in (-ln 2, 0)
-    acc = -mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
-    mupow = mp.mpf(1)
+    mu_fixed = to_fixed(mu._mpf_, scale)
+    acc = 0
+    mupow = 1 << scale
     quiet = 0
     for j, coeff in enumerate(_kernel_coefficients(k, wp)):
         if coeff:
-            term = coeff * mupow
+            term = coeff * mupow >> scale
             acc += term
             if j > k:
                 quiet = quiet + 1 if abs(term) < eps else 0
                 if quiet == 2:
                     break
-        mupow *= mu
-    return acc
+        mupow = mupow * mu_fixed >> scale
+    return mp.ldexp(acc, -scale) - mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,25 +324,31 @@ def _difference_series_sum(
     The differences cancel about d bits, so the working precision carries a
     cancellation budget; once d would exceed it the sum restarts from the
     first term at a larger budget.  The reported error adds a power-law tail
-    fit to a rounding bound: with |f| <= 2^f0_bits and each f(j) within one
-    rounding, 2^(f0_bits - wp), entry i of the edge has |g_i| <=
-    2^(i + f0_bits) and carries at most (i+1) 2^(i + f0_bits - wp) (the error
-    of its two inputs plus one rounding), so n + 1 outer terms up to
-    d = n + shift, divided and added, carry at most
-    (n+2)(d+2) 2^(d + f0_bits - wp).
+    fit to a rounding bound in units u_d = 2^(d + f0_bits - wp), |f| <=
+    2^f0_bits.  The loop runs e = 4 + bitlen(ceil s) bits above wp, where each
+    f(j), with at most two base roundings (s units each), one power rounding
+    and its truncation to the integer scale 2^-(wp + e - f0_bits), is off by
+    at most (2s + 2) 2^(f0_bits - wp - e) <= u_0/4.  The integer differences
+    are exact, so g_d, |g_d| <= 2^(d + f0_bits), is off by at most u_d/4; its
+    conversion, division by (m+1)^k and addition to a total below
+    2^(d+1+f0_bits) add 1 + 1 + 2 units.  n + 1 terms up to d = n + shift,
+    n >= 2 at the stop, carry at most 4.25 (n+1) u_d <= (n+2)(d+2) u_d: the
+    bound of the former mpf table (entry i carried (i+1) units), now looser.
     """
     threshold = mp.ldexp(1, -(precision + 8))
     cancel_budget = 96
+    extra = 4 + math.ceil(s).bit_length()
     while True:
         wp = precision + GUARD_BITS + 24 + cancel_budget
-        with mp.workprec(wp):
+        with mp.workprec(wp + extra):
             neg_s = -_rat_mpf(s)
             # x + ... stays a Fraction, rounded once by mp.convert, when x is
             # rational; f decreases in j, so f(0) bounds it.  top_d is the
             # largest difference order the cancellation budget covers.
             f0_bits = mp.mag(mp.convert(x + beta) ** neg_s)
             top_d = cancel_budget + GUARD_BITS - 40 - max(f0_bits, 0)
-            edge: list = []
+            scale = wp + extra - f0_bits  # edge entries are integers at 2^-scale
+            edge: list[int] = []
             total = mp.mpf(0)
             recent: dict[int, object] = {}
             consecutive = 0
@@ -331,13 +356,14 @@ def _difference_series_sum(
                 m = d - shift
                 if m >= 0 and d > top_d:
                     break
-                g = mp.convert(x + (d * alpha + (d + 1) * beta)) ** neg_s
+                f = mp.convert(x + (d * alpha + (d + 1) * beta)) ** neg_s
+                g = to_fixed(f._mpf_, scale)
                 for i, e in enumerate(edge):
                     edge[i], g = g, e - g
                 edge.append(g)
                 if m < 0:
                     continue
-                term = g / mp.mpf(m + 1) ** k
+                term = mp.ldexp(g, -scale) / (m + 1) ** k
                 total += term
                 recent[m] = abs(term)
                 recent.pop(m - 16, None)
@@ -604,9 +630,11 @@ def raabe_numeric(query: ZetaQuery) -> tuple[NumericResult, NumericResult]:
             integrand_errors.append(res.error)
             return res.value
 
-        lhs_value, lhs_quad_err = mp.quad(
-            integrand, [0, L_m], method="gauss-legendre", error=True, maxdegree=7
-        )
+        # The integrand resolves about 2^-(p+16); a finer rule target only adds degrees.
+        with mp.workprec(p + 16):
+            lhs_value, lhs_quad_err = mp.quad(
+                integrand, [0, L_m], method="gauss-legendre", error=True, maxdegree=7
+            )
         lhs_err = lhs_quad_err + L_m * (max(integrand_errors) if integrand_errors else 0)
         lhs = NumericResult(lhs_value, lhs_err, len(integrand_errors))
         rhs_raw = _difference_series_sum(

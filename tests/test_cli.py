@@ -152,6 +152,56 @@ def test_eval_zeta_quadrature_route_text(capsys):
         assert abs(mp.mpf(printed) - 3 * hz) < mp.mpf("1e-15")
 
 
+# The full stdout of two numeric requests, every printed digit pinned, so a
+# rewrite of the numeric kernels that moves a digit, the error bound or the
+# term count fails here.
+ZETA_GOLDEN = {
+    "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 128 --route series": """\
+{
+  "kind": "zeta",
+  "k": 2,
+  "s": "3/2",
+  "x": "30",
+  "params": {
+    "alpha": "1",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "series",
+  "precision": 128,
+  "value": "0.006045449041170118873429468996095112877281",
+  "error_bound": "3.88e-40",
+  "terms": 410
+}
+""",
+    "--k 3 --s 1/2 --x 40 --alpha 1/2 --beta 1/2 --precision 128 --route quadrature": """\
+{
+  "kind": "zeta",
+  "k": 3,
+  "s": "1/2",
+  "x": "40",
+  "params": {
+    "alpha": "1/2",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "quadrature",
+  "precision": 128,
+  "value": "0.1573755005985473221331365535421241204867",
+  "error_bound": "4.29e-51",
+  "terms": 0
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", sorted(ZETA_GOLDEN))
+def test_eval_zeta_golden_stdout(args, capsys):
+    code, out, _ = run_main(["eval", "--kind", "zeta", *args.split()], capsys)
+    assert code == 0
+    assert out == ZETA_GOLDEN[args]
+
+
 def test_eval_honors_precision_env(capsys, monkeypatch):
     code, out, _ = run_main(
         ["eval", "--kind", "zeta", "--k", "2", "--s", "2", "--x", "40",

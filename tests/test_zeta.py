@@ -6,6 +6,7 @@ converges comfortably at 128 bits; the quadrature route has no such
 restriction and is additionally exercised at a small-argument point.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from polybernoulli import (
     xi_reduced,
     xi_series,
 )
+
+from polybernoulli.zeta import GUARD_BITS, _difference_series_sum
 
 from conftest import rand_params, rand_rat
 
@@ -101,12 +104,16 @@ def test_polylog_on_kernel_matches_reference():
             assert abs(got - ref) < abs(ref) * mp.ldexp(1, -88), (k, v_text)
     # The expansion around z = 1 must reach the working precision, including
     # v just above ln 2, where |mu| = |ln z| is largest and the coefficients
-    # zeta(k-j)/j! shrink only like (2 pi)^-j.
-    for wp in (184, 312):
-        for k in (2, 3):
-            for v_text in ("0.6932", "1.0", "2.5", "40"):
+    # zeta(k-j)/j! shrink only like (2 pi)^-j.  Below ln 2 the direct series
+    # must keep its relative accuracy: near_zero in xi_quadrature calls it
+    # far below 2^-100.
+    for wp in (96, 184, 312):
+        for k in (2, 3, 5):
+            for v_text in ("1e-60", "1e-12", "1e-3", "0.3", "0.6931",
+                           "0.6932", "1.0", "2.5", "40"):
                 with mp.workprec(wp):
                     got = polylog_on_kernel(k, mp.mpf(v_text))
+                    assert mp.prec == wp
                 with mp.workprec(wp + 400):
                     ref = mpmath.polylog(k, -mp.expm1(-mp.mpf(v_text)))
                     assert abs(got - ref) < abs(ref) * mp.ldexp(1, -(wp - 8)), (wp, k, v_text)
@@ -212,6 +219,48 @@ def test_quadrature_small_argument_against_hurwitz():
     with mp.workprec(140):
         ref = 3 * hz
         assert abs(res.value - ref) <= abs(ref) * mp.mpf("1e-12")
+
+
+# (k, s, x, alpha, beta, precision, terms) of three series requests of the
+# benchmark's zeta workload; the 128-bit one restarts twice.
+SERIES_PINNED = [
+    (2, "3/2", "30", "1", "1/2", 64, 50),
+    (2, "3/2", "30", "1", "1/2", 128, 410),
+    (3, "1/2", "45", "1/4", "3/4", 64, 23),
+]
+
+
+def pinned_query(k, s, x, alpha, beta, precision):
+    return ZetaQuery(k=k, s=Fraction(s), x=Fraction(x),
+                     params=Params(Fraction(alpha), Fraction(beta)), precision=precision)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_difference_series_sum_within_error_of_literal_sum(shift):
+    # The same number of outer terms, each inner sum taken literally with
+    # binomial weights, at a precision that covers its cancellation of up to
+    # n + shift bits and the engine's guard bits with 64 to spare.  At shift 0
+    # the term counts are pinned, so any drift of the stopping rule fails.
+    for *args, terms in SERIES_PINNED:
+        q = pinned_query(*args)
+        a, b = q.params.alpha, q.params.beta
+        res = _difference_series_sum(q.k, q.s, q.x, a, b, shift, q.precision, q.max_terms)
+        if shift == 0:
+            assert res.terms == terms, args
+        d_top = res.terms - 1 + shift
+        with mp.workprec(q.precision + GUARD_BITS + 24 + d_top + 64):
+            neg_s = -mp.mpf(q.s.numerator) / q.s.denominator
+            bases = (q.x + j * a + (j + 1) * b for j in range(d_top + 1))
+            f = [(mp.mpf(base.numerator) / base.denominator) ** neg_s for base in bases]
+            literal = mp.mpf(0)
+            for m in range(res.terms):
+                d = m + shift
+                inner = mp.fsum((-1) ** j * math.comb(d, j) * f[j] for j in range(d + 1))
+                literal += inner / mp.mpf(m + 1) ** q.k
+            assert abs(res.value - literal) <= res.error, (args, shift)
+            # The engine sizes its rounding below the guard bits; only the
+            # tail fit may take the reported error above that.
+            assert abs(res.value - literal) <= mp.ldexp(1, -(q.precision + GUARD_BITS))
 
 
 def test_difference_series_matches_two_evaluations():
