@@ -49,12 +49,20 @@ def _grown_row(rows: dict, key, n: int, entry: Callable[[int], Fraction]) -> lis
     return row
 
 
+def _kaneko_weights(n: int) -> tuple[int, ...]:
+    # w(n, m) = (-1)^m m! S(n, m) from the row before, by the Stirling
+    # recurrence: w(n, m) = m (w(n-1, m) - w(n-1, m-1)), w(n-1, n) = 0.
+    if n == 0:
+        return (1,)
+    prev = _KANEKO_WEIGHTS[None][n - 1] + (0,)
+    return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, n + 1))
+
+
 def _kaneko(n: int, k: int) -> Fraction:
     # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, summed as integers over the
     # common denominator lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
     lcm = math.lcm(*range(1, n + 2)) if k > 0 else 1
-    weights = _grown_row(_KANEKO_WEIGHTS, None, n, lambda i: tuple(
-        (-1) ** m * math.factorial(m) * stirling2(i, m) for m in range(i + 1)))[n]
+    weights = _grown_row(_KANEKO_WEIGHTS, None, n, _kaneko_weights)[n]
     num = sum(
         w * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
         for m, w in enumerate(weights)
@@ -120,21 +128,41 @@ def bernoulli_poly(n: int) -> Poly1:
     return Poly1(_appell([(-1) ** m * b for m, b in enumerate(row[: n + 1])], n))
 
 
-def _bernoulli(m: int) -> Fraction:
-    # C(m+1, j) recurrence over the entries already in the row; independent
-    # of bernoulli_poly and cheap enough for the Euler-Maclaurin tails that
-    # need a few hundred of them.
-    if m == 0:
-        return Fraction(1)
-    row = _BERNOULLI_ROWS[None]
-    return -sum(binomial(m + 1, j) * row[j] for j in range(m)) / (m + 1)
+def _tangent_numbers(m: int) -> list[int]:
+    """T_1 .. T_m, tan x = sum_k T_k x^(2k-1)/(2k-1)!, by the integer-only
+    in-place recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    tangent and secant numbers", 2011)."""
+    t = [0, 1] + [0] * (m - 1)
+    for k in range(2, m + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1 : m + 1]
 
 
 def bernoulli_numbers(n: int) -> list[Fraction]:
-    """B_0 .. B_n (B_1 = -1/2), via the classical binomial-sum recurrence."""
+    """B_0 .. B_n (B_1 = -1/2), with B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))
+    from the tangent numbers T_k."""
     if n < 0:
         raise ValueError("Bernoulli index n must be >= 0, got %d" % n)
-    return _grown_row(_BERNOULLI_ROWS, None, n, _bernoulli)[: n + 1]
+    row = _BERNOULLI_ROWS.get(None, [])
+    if len(row) <= n:
+        # At least double the row, so that callers stepping one index up at a
+        # time recompute the tangent numbers only O(log n) times.
+        top = max(n, 2 * len(row))
+        tangents = _tangent_numbers(top // 2)
+
+        def entry(i: int) -> Fraction:
+            if i < 2:
+                return Fraction(1) if i == 0 else Fraction(-1, 2)
+            if i % 2:
+                return Fraction(0)
+            k = i // 2
+            return Fraction((-1) ** (k - 1) * i * tangents[k - 1], 4**k * (4**k - 1))
+
+        row = _grown_row(_BERNOULLI_ROWS, None, top, entry)
+    return row[: n + 1]
 
 
 def _is_staircase_orderable(rows: tuple[int, ...], width: int) -> bool:

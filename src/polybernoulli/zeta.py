@@ -19,15 +19,22 @@ other:
   working precision; its rounding bound, (n+2)(d+2) 2^(d + f0_bits - wp) for
   n + 1 terms up to difference order d with |f| <= 2^f0_bits, is derived at
   _difference_series_sum.
-* xi_quadrature integrates the kernel directly (tanh-sinh on [0, t0, 1] plus
-  [1, T] with an explicit exponential tail bound at the cutoff T).  The
-  kernel's Li_k(1 - e^(-v)) sums the expansion around z = 1 in
-  mu = log1p(-e^(-v)) over one coefficient list zeta(k-j)/j! per (k, working
-  precision), built once and cached; the sum stops after two consecutive
-  nonzero terms beyond j = k fall below the working epsilon: zeta(k-j)
-  grows like (j-k)!/(2 pi)^(j-k), so mu^j/j! alone does not bound a term.
-  Both that sum and the direct series for z <= 1/2 run on integers at the
-  fixed scale 2^-(wp + 24); polylog_on_kernel bounds their truncations.
+* xi_quadrature integrates the defining integral directly (tanh-sinh on
+  [0, t0, 1] plus [1, T] with an explicit exponential tail bound at the
+  cutoff T).  With L = alpha + beta and z = 1 - e^(-Lt) the denominator
+  e^(beta t) - e^(-alpha t) is e^(beta t) z, so the integrand is
+  R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k = Li_k(z)/z: one
+  exponential inside R_k and one for the rest.  R_k falls out of the sums
+  for Li_k.  For z <= 1/2 it is S = sum_n z^(n-1)/n^k itself, with z taken
+  from one exponential carried wide enough for the cancellation in 1 - e^(-v).
+  Closer to 1 it is Li_k/(1 - q), q = e^(-v), with Li_k summed as the
+  expansion around z = 1 in mu = log1p(-q) over one coefficient list
+  zeta(k-j)/j! per (k, working precision), built once and cached; that sum
+  stops after two consecutive nonzero terms beyond j = k fall below the
+  working epsilon: zeta(k-j) grows like (j-k)!/(2 pi)^(j-k), so mu^j/j!
+  alone does not bound a term.  Both sums run on integers at the fixed
+  scale 2^-(wp + 24); _polylog_ratio bounds their truncations, and
+  polylog_on_kernel is z R_k.
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -239,24 +246,77 @@ def _kernel_coefficients(k: int, wp: int) -> tuple:
         return tuple(coeffs)
 
 
-def polylog_on_kernel(k: int, v) -> "mp.mpf":
-    """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at current precision wp.
+def _polylog_ratio(k: int, v, wp: int) -> tuple:
+    """(z, Li_k(z)/z) for z = 1 - e^(-v), v > 0, integer k >= 1, at working
+    precision wp; the ratio is what the quadrature kernel needs, since its
+    denominator e^(beta t) - e^(-alpha t) is e^(beta t) z.
 
-    For z = 1 - e^(-v) <= 1/2 the defining series is summed directly, as
-    z S with S = sum_n z^(n-1)/n^k in [1, 2), so that the result keeps its
-    relative accuracy at tiny z; S stops at the first term below 2^-(wp+4).
-    Closer to 1 the expansion of Li_k around z = 1 in powers of mu = ln z =
-    log1p(-e^(-v)) is summed over the coefficient list of
-    _kernel_coefficients (zeta constants from the in-package Hurwitz oracle
-    and exact Bernoulli numbers).  That sum stops after two consecutive
-    nonzero terms c_j mu^j with j > k fall below 2^-(wp+4).
+    v carries at most wp bits.  For v <= ln 2 (z <= 1/2), z is 1 minus one
+    exponential taken wp + 8 + max(0, -mag v) bits wide, so that the
+    subtraction, exact because e^(-v) >= 1/2, leaves z within 2^-(wp+4)
+    relative before its rounding to wp bits (z = v - v^2/2 when
+    v < 2^-wp); the ratio is S = sum_n z^(n-1)/n^k in [1, 2), stopped at
+    the first term below 2^-(wp+4).  Beyond ln 2 the expansion of Li_k around
+    z = 1 in powers of mu = ln z = log1p(-q), q = e^(-v), is summed over the
+    coefficient list of _kernel_coefficients (zeta constants from the
+    in-package Hurwitz oracle and exact Bernoulli numbers), stopped after two
+    consecutive nonzero terms c_j mu^j with j > k below 2^-(wp+4), and the
+    ratio is Li_k / (1 - q).  For k = 1 the ratio is v/z.
     Both sums run on integers at scale 2^(wp + G), G = _FIXED_GUARD, each
     product truncated.  With |z|, |mu| <= ln 2 a running power is off by at
     most 2/(1 - ln 2) < 7 units of 2^-(wp+G) and a term (|c_j| < 2) by 17; at
     most k + wp terms keep the truncations below 2^-(wp+4) while
     k + wp <= 2^(G-4)/17.  Entry and exit round once each at wp bits,
-    relative to S >= 1, or to Li_k >= 1/2 on the expansion branch.
+    relative to S >= 1, or to Li_k >= 1/2 and z >= 1/2 on the expansion
+    branch, so the ratio is within 4 units of 2^-wp (2.6 at worst against
+    mpmath.polylog over k in {1, 2, 3, 5}, v from 1e-300 to 200 and wp from
+    96 to 332).
     """
+    scale = wp + _FIXED_GUARD
+    eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
+    with mp.workprec(wp):
+        if v <= mp.ln2:
+            mag = mp.mag(v)
+            if mag < -wp:
+                z = v - v * v / 2
+            else:
+                z = 1 - mp.exp(-v, prec=wp + 8 - min(mag, 0))
+            if k == 1:
+                return z, v / z
+            z_fixed = to_fixed(z._mpf_, scale)
+            zpow = acc = term = 1 << scale
+            n = 1
+            while term > eps:
+                n += 1
+                zpow = zpow * z_fixed >> scale
+                term = zpow // n**k
+                acc += term
+            return z, mp.ldexp(acc, -scale)
+        q = mp.exp(-v)
+        z = 1 - q
+        if k == 1:
+            return z, v / z
+        mu = mp.log1p(-q)  # in (-ln 2, 0)
+        mu_fixed = to_fixed(mu._mpf_, scale)
+        acc = 0
+        mupow = 1 << scale
+        quiet = 0
+        for j, coeff in enumerate(_kernel_coefficients(k, wp)):
+            if coeff:
+                term = coeff * mupow >> scale
+                acc += term
+                if j > k:
+                    quiet = quiet + 1 if abs(term) < eps else 0
+                    if quiet == 2:
+                        break
+            mupow = mupow * mu_fixed >> scale
+        li = mp.ldexp(acc, -scale) - mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
+        return z, li / z
+
+
+def polylog_on_kernel(k: int, v) -> "mp.mpf":
+    """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at the current precision:
+    z times the ratio of _polylog_ratio, which bounds both sums."""
     if k < 1:
         raise ValueError("polylog_on_kernel needs k >= 1")
     v = mp.mpf(v)
@@ -266,35 +326,8 @@ def polylog_on_kernel(k: int, v) -> "mp.mpf":
         return mp.mpf(0)
     if k == 1:
         return v  # -ln(1 - z) with z = 1 - e^(-v)
-    wp = mp.prec
-    scale = wp + _FIXED_GUARD
-    eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
-    if v <= mp.ln2:
-        z = -mp.expm1(-v)
-        z_fixed = to_fixed(z._mpf_, scale)
-        zpow = acc = term = 1 << scale
-        n = 1
-        while term > eps:
-            n += 1
-            zpow = zpow * z_fixed >> scale
-            term = zpow // n**k
-            acc += term
-        return z * mp.ldexp(acc, -scale)
-    mu = mp.log1p(-mp.exp(-v))  # in (-ln 2, 0)
-    mu_fixed = to_fixed(mu._mpf_, scale)
-    acc = 0
-    mupow = 1 << scale
-    quiet = 0
-    for j, coeff in enumerate(_kernel_coefficients(k, wp)):
-        if coeff:
-            term = coeff * mupow >> scale
-            acc += term
-            if j > k:
-                quiet = quiet + 1 if abs(term) < eps else 0
-                if quiet == 2:
-                    break
-        mupow = mupow * mu_fixed >> scale
-    return mp.ldexp(acc, -scale) - mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
+    z, ratio = _polylog_ratio(k, v, mp.prec)
+    return z * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +484,44 @@ def _integral_tail_bound(k, s_m, x_m, alpha_m, beta_m, L_m, T):
     return scale * mp.exp(-x_m * T) * poly
 
 
+def _quadrature_kernel(query: ZetaQuery, kp: int):
+    """The integrand Li_k(z) e^(-xt) t^(s-1) / (e^(beta t) - e^(-alpha t)),
+    z = 1 - e^(-Lt), L = alpha + beta, as kernel(t) = R_k(Lt) exp((s-1) ln t
+    - (x+beta) t) with R_k = Li_k(z)/z from _polylog_ratio: the denominator is
+    e^(beta t) z.  kernel(t) is positive and runs at precision kp.
+
+    The exponent is rounded at kp + 8 + size bits, where 2^size bounds both
+    its terms (|ln t| <= |mag t| + 3 since t > 2^(mag t - 3), and
+    (x+beta) t <= 2^(mag(x+beta) + mag t)); s - 1 and x + beta enter as exact
+    integer numerators and denominators, so the logarithm, two products, two
+    quotients and the sum leave it within 4 2^-(kp+8) absolute, and the
+    exponential within 2^-(kp+5) plus its own rounding.
+    """
+    k = query.k
+    s1 = query.s - 1
+    y = query.x + query.params.beta
+    with mp.workprec(kp):
+        L_m = _rat_mpf(query.params.log_sum)
+        y_mag = mp.mag(_rat_mpf(y))
+        s1_mag = mp.mag(_rat_mpf(s1)) if s1 else None
+
+    def kernel(t):
+        if t <= 0:
+            return mp.mpf(0)
+        ratio = _polylog_ratio(k, mp.fmul(L_m, t, prec=kp), kp)[1]
+        m = mp.mag(t)
+        size = y_mag + m
+        if s1:
+            size = max(size, s1_mag + (abs(m) + 3).bit_length())
+        with mp.workprec(kp + 8 + max(size, 0)):
+            expo = -(y.numerator * t) / y.denominator
+            if s1:
+                expo += s1.numerator * mp.ln(t) / s1.denominator
+            return ratio * mp.exp(expo)
+
+    return kernel
+
+
 def xi_quadrature(query: ZetaQuery) -> NumericResult:
     """Tanh-sinh quadrature of the defining integral.
 
@@ -463,6 +534,20 @@ def xi_quadrature(query: ZetaQuery) -> NumericResult:
     cutoff T chosen so that the explicit exponential tail bound is
     negligible, and the total is divided by Gamma(s).  Raises ToleranceError
     if the achieved estimate misses the precision contract.
+
+    The kernel R_k(Lt) exp((s-1) ln t - (x+beta) t) (_quadrature_kernel)
+    runs at kp = wp + 20, the precision mp.quad evaluates it at, and is
+    positive, so the relative error of each node carries over to the sum.
+    In units of 2^-kp: R_k is within 4 (_polylog_ratio); v = Lt is within 1,
+    which moves R_k(v) by at most 1 more, since |v R_k'(v)/R_k(v)| < 1; the
+    exponential is within 2^-5 plus its rounding, 1; the product adds 1.
+    So a node is within 8 units, 2^-(wp+17), and mp.quad's sums at kp keep
+    that.  The rest adds at most 4 units of 2^-wp: mp.quad's result and
+    the sum of the two integrals round once each at wp, and Gamma(s) and
+    the quotient by it within one unit each, so the
+    rounding term |value| 2^-(wp-6) of the reported error covers the
+    kernel's error with room to spare; the rule's own error and the tail are
+    the other two terms.
     """
     query.require_numeric()
     p = query.precision
@@ -474,14 +559,7 @@ def xi_quadrature(query: ZetaQuery) -> NumericResult:
         beta_m = _rat_mpf(query.params.beta)
         L_m = alpha_m + beta_m
         k = query.k
-
-        def kernel(t):
-            if t <= 0:
-                return mp.mpf(0)
-            li = polylog_on_kernel(k, L_m * t)
-            den = mp.expm1(beta_m * t) - mp.expm1(-alpha_m * t)
-            return li / den * mp.exp(-x_m * t) * t ** (s_m - 1)
-
+        kernel = _quadrature_kernel(query, wp + 20)
         T = max(mp.mpf(2), (p + 32) * mp.log(2) / x_m)
         tail = _integral_tail_bound(k, s_m, x_m, alpha_m, beta_m, L_m, T)
         target_tail = mp.ldexp(1, -(p + 16))

@@ -152,9 +152,10 @@ def test_eval_zeta_quadrature_route_text(capsys):
         assert abs(mp.mpf(printed) - 3 * hz) < mp.mpf("1e-15")
 
 
-# The full stdout of two numeric requests, every printed digit pinned, so a
+# The full stdout of numeric requests, every printed digit pinned, so a
 # rewrite of the numeric kernels that moves a digit, the error bound or the
-# term count fails here.
+# term count fails here: the 128-bit series request and all five quadrature
+# requests of the benchmark's zeta workload.
 ZETA_GOLDEN = {
     "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 128 --route series": """\
 {
@@ -189,6 +190,78 @@ ZETA_GOLDEN = {
   "precision": 128,
   "value": "0.1573755005985473221331365535421241204867",
   "error_bound": "4.29e-51",
+  "terms": 0
+}
+""",
+    "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 64 --route quadrature": """\
+{
+  "kind": "zeta",
+  "k": 2,
+  "s": "3/2",
+  "x": "30",
+  "params": {
+    "alpha": "1",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "quadrature",
+  "precision": 64,
+  "value": "0.00604544904117011887343",
+  "error_bound": "6.1e-31",
+  "terms": 0
+}
+""",
+    "--k 1 --s 3 --x 2 --alpha 1/2 --beta 1/2 --precision 192 --route quadrature": """\
+{
+  "kind": "zeta",
+  "k": 1,
+  "s": "3",
+  "x": "2",
+  "params": {
+    "alpha": "1/2",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "quadrature",
+  "precision": 192,
+  "value": "0.11195292440862602562757375175996303227120024375011825314134",
+  "error_bound": "1.58e-74",
+  "terms": 0
+}
+""",
+    "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 256 --route quadrature": """\
+{
+  "kind": "zeta",
+  "k": 2,
+  "s": "3/2",
+  "x": "30",
+  "params": {
+    "alpha": "1",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "quadrature",
+  "precision": 256,
+  "value": "0.006045449041170118873429468996095112877469454565437976062250622145177957355125283",
+  "error_bound": "3.03e-89",
+  "terms": 0
+}
+""",
+    "--k 3 --s 5/2 --x 1/10 --alpha 1 --beta 1/2 --precision 64 --route quadrature": """\
+{
+  "kind": "zeta",
+  "k": 3,
+  "s": "5/2",
+  "x": "1/10",
+  "params": {
+    "alpha": "1",
+    "beta": "1/2"
+  },
+  "mode": "numeric",
+  "route": "quadrature",
+  "precision": 64,
+  "value": "4.26082838737469113889",
+  "error_bound": "2.05e-34",
   "terms": 0
 }
 """,

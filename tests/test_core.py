@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -16,6 +16,7 @@ from polybernoulli import (
     pb_number_neg_closed,
     pb_number_recurrence,
     pb_poly,
+    stirling2,
 )
 
 from conftest import literal_double_sum, rand_rat
@@ -165,6 +166,15 @@ def test_bernoulli_numbers_match_polynomials_at_zero():
         assert v == bernoulli_poly(n)(0)
 
 
+def binomial_recurrence_bernoulli(n):
+    """B_0 .. B_n by the classical recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
+    for m >= 1, in Fractions: independent of the tangent numbers."""
+    row = [Fraction(1)]
+    for m in range(1, n + 1):
+        row.append(-sum(comb(m + 1, j) * row[j] for j in range(m)) / (m + 1))
+    return row
+
+
 def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
     # Start from an empty row and ask out of order, so the row grows past 64
     # and 128 entries in several steps; mpmath.bernfrac is exact, B_1 = -1/2.
@@ -172,12 +182,25 @@ def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
     for m in (65, 2, 128, 1, 63, 200, 64, 127):
         assert bernoulli_numbers(m)[m] == Fraction(*mpmath.bernfrac(m)), m
     assert bernoulli_numbers(200) == [Fraction(*mpmath.bernfrac(m)) for m in range(201)]
+    assert bernoulli_numbers(200) == binomial_recurrence_bernoulli(200)
     vals = bernoulli_numbers(10)
     vals[3] = Fraction(99)
     vals.append(Fraction(7))
     assert bernoulli_numbers(10) == [Fraction(*mpmath.bernfrac(m)) for m in range(11)]
     with pytest.raises(ValueError):
         bernoulli_numbers(-1)
+
+
+def test_kaneko_weights_match_stirling2(monkeypatch):
+    # The weight rows grow by the Stirling recurrence; asked out of order from
+    # an empty row, every row up to n = 64 is (-1)^m m! S(n, m).
+    monkeypatch.setattr(core, "_KANEKO_WEIGHTS", {})
+    for n in (40, 3, 64, 0, 41):
+        core._kaneko(n, 1)
+    rows = core._KANEKO_WEIGHTS[None]
+    assert len(rows) == 65
+    for n, row in enumerate(rows):
+        assert row == tuple((-1) ** m * factorial(m) * stirling2(n, m) for m in range(n + 1)), n
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():

@@ -32,7 +32,7 @@ from polybernoulli import (
     xi_series,
 )
 
-from polybernoulli.zeta import GUARD_BITS, _difference_series_sum
+from polybernoulli.zeta import GUARD_BITS, _difference_series_sum, _quadrature_kernel
 
 from conftest import rand_params, rand_rat
 
@@ -263,6 +263,42 @@ def test_difference_series_sum_within_error_of_literal_sum(shift):
             assert abs(res.value - literal) <= mp.ldexp(1, -(q.precision + GUARD_BITS))
 
 
+# (s, x, alpha, beta, precision) of quadrature requests: the benchmark's
+# x = 30 and small-x queries, plus beta = 0, where the denominator is z.
+KERNEL_QUERIES = [
+    ("3/2", "30", "1", "1/2", 64),
+    ("5/2", "1/10", "1", "1/2", 256),
+    ("1/2", "40", "1/2", "1/2", 128),
+    ("3", "2", "1", "0", 96),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadrature_kernel_matches_literal_integrand(k):
+    # The kernel R_k(Lt) exp((s-1) ln t - (x+beta) t) against the integrand
+    # as defined, Li_k(1 - e^(-Lt)) e^(-xt) t^(s-1) / (e^(beta t) - e^(-alpha t)),
+    # 64 bits sharper, at the precision xi_quadrature runs the kernel at, from
+    # t = 1e-80 through 1/(x+beta), 1 and the cutoff T.
+    for s, x, alpha, beta, p in KERNEL_QUERIES:
+        q = pinned_query(k, s, x, alpha, beta, p)
+        kp = p + GUARD_BITS + 24 + 20
+        kernel = _quadrature_kernel(q, kp)
+        with mp.workprec(kp):
+            ts = [mp.mpf(v) for v in ("1e-80", "1e-20", "1e-3")]
+            ts += [1 / mp.convert(q.x + q.params.beta), mp.mpf(1)]
+            ts.append(max(mp.mpf(2), (p + 32) * mp.log(2) / mp.convert(q.x)))
+        for t in ts:
+            with mp.workprec(kp):
+                got = kernel(t)
+                assert mp.prec == kp
+            with mp.workprec(kp + 64):
+                x_m, a_m, b_m, s_m = (mp.mpf(v.numerator) / v.denominator
+                                      for v in (q.x, q.params.alpha, q.params.beta, q.s))
+                den = mp.expm1(b_m * t) - mp.expm1(-a_m * t)
+                ref = polylog_on_kernel(k, (a_m + b_m) * t) / den * mp.exp(-x_m * t) * t ** (s_m - 1)
+                assert abs(got - ref) <= abs(ref) * mp.ldexp(1, -(kp - 8)), (k, s, x, beta, t)
+
+
 def test_difference_series_matches_two_evaluations():
     rng = random.Random(607)
     q = seeded_query(rng, precision=80)
@@ -317,6 +353,12 @@ def test_reduced_and_quadrature_errors_cover_sharper_rerun():
                   params=Params(Fraction(1), Fraction(1, 2)), precision=256)
     res, ref = xi_quadrature(q), xi_quadrature(sharper(q))
     with mp.workprec(360):
+        assert abs(res.value - ref.value) <= res.error
+    # Small x: the kernel's mass lies far out, up to the cutoff T ~ 670.
+    q = ZetaQuery(k=3, s=Fraction(5, 2), x=Fraction(1, 10),
+                  params=Params(Fraction(1), Fraction(1, 2)), precision=64)
+    res, ref = xi_quadrature(q), xi_quadrature(sharper(q))
+    with mp.workprec(200):
         assert abs(res.value - ref.value) <= res.error
 
 
