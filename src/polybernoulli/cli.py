@@ -29,7 +29,7 @@ from . import verify as verify_mod
 from .core import pb_number, pb_number_neg_closed
 from .exact_arith import format_rat, parse_rat
 from .generalized import Params, gpb_explicit, gpb_explicit_c
-from .symmetrized import sym_def
+from .symmetrized import sym_closed
 from .zeta import (
     NonConvergenceError,
     ToleranceError,
@@ -168,7 +168,7 @@ def _table_report(args) -> dict:
         entries = []
         for n in ns:
             for m in ms:
-                poly = sym_def(n, m, params)
+                poly = sym_closed(n, m, params)
                 terms = [[i, j, format_rat(c)] for i, j, c in poly.sorted_terms()]
                 entries.append({"n": n, "m": m, "terms": terms})
         return {"kind": kind, "params": _params_dict(params, False), "entries": entries}
@@ -222,7 +222,7 @@ def _eval_poly_report(args) -> dict:
         base["k"] = args.k
         base["params"] = _params_dict(params, True)
     else:
-        value = sym_def(args.n, args.m, params)(args.x, args.y)
+        value = sym_closed(args.n, args.m, params)(args.x, args.y)
         base["m"] = args.m
         base["y"] = format_rat(args.y)
         base["params"] = _params_dict(params, False)

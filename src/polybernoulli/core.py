@@ -5,10 +5,10 @@ any integer k, with B_n^(k) = B_n^(k)(0).  Values come from one cached row of
 numbers per k, Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k:
 the polynomials are its Appell sums sum_i C(n,i) B_{n-i}^(k) x^i, the
 Bernoulli polynomials those of B_m = (-1)^m B_m^(1); the literal double sum is
-a test oracle.  Negative upper index has the closed Stirling form
-sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum (0,1)-matrices;
-lonesum_count() enumerates those matrices two independent ways and is the
-combinatorial oracle for that family.
+a test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
+feeds Kaneko's sum and both closed forms, symmetrized.sym_closed and negative
+upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
+(0,1)-matrices; lonesum_count() enumerates those two ways as their oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import itertools
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
-from .exact_arith import binomial, stirling2
+from .exact_arith import binomial
 from .polynomials import Poly1
 
 __all__ = [
@@ -58,14 +57,18 @@ def _kaneko_weights(n: int) -> tuple[int, ...]:
     return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, n + 1))
 
 
+def _stirling_weights(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the weights w(p, m) = (-1)^m m! S(p, m), m <= p."""
+    return _grown_row(_KANEKO_WEIGHTS, None, n, _kaneko_weights)
+
+
 def _kaneko(n: int, k: int) -> Fraction:
     # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, summed as integers over the
     # common denominator lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
     lcm = math.lcm(*range(1, n + 2)) if k > 0 else 1
-    weights = _grown_row(_KANEKO_WEIGHTS, None, n, _kaneko_weights)[n]
     num = sum(
         w * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
-        for m, w in enumerate(weights)
+        for m, w in enumerate(_stirling_weights(n)[n])
     )
     return Fraction((-1) ** n * num, lcm ** max(k, 0))
 
@@ -93,32 +96,28 @@ def pb_number(n: int, k: int) -> Fraction:
 
 
 def pb_number_neg_closed(n: int, k: int) -> int:
-    """B_n^(-k) for n, k >= 0: sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1)."""
+    """B_n^(-k) for n, k >= 0: sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), read off
+    the weight rows as sum_{j>=1} w(n+1, j) w(k+1, j) / j^2."""
     if n < 0 or k < 0:
         raise ValueError("pb_number_neg_closed expects n, k >= 0")
-    acc = 0
-    fact = 1  # j!
-    for j in range(min(n, k) + 1):
-        if j:
-            fact *= j
-        acc += fact * fact * stirling2(n + 1, j + 1) * stirling2(k + 1, j + 1)
-    return acc
+    rows = _stirling_weights(max(n, k) + 1)
+    pairs = zip(rows[n + 1][1:], rows[k + 1][1:])
+    return sum(a * b // (j * j) for j, (a, b) in enumerate(pairs, 1))
 
 
-@lru_cache(maxsize=None)
 def pb_number_recurrence(n: int, k: int) -> Fraction:
     """Row-n recurrence check value.
 
-    (n+1) B_n^(k) = B_n^(k-1) - sum_{m=1}^{n-1} C(n, m-1) B_m^(k); the upper
-    index k has no base case of its own, so the k-1 input comes from the
-    Kaneko row while the row recursion grounds at n = 0.
+    (i+1) B_i^(k) = B_i^(k-1) - sum_{m=1}^{i-1} C(i, m-1) B_m^(k), run up one
+    local row from B_0^(k) to i = n; the upper index k has no base case of
+    its own, so the k-1 inputs come from the Kaneko row.
     """
-    if n == 0:
-        return pb_number(0, k)
-    acc = pb_number(n, k - 1)
-    for m in range(1, n):
-        acc -= binomial(n, m - 1) * pb_number_recurrence(m, k)
-    return acc / (n + 1)
+    previous = _pb_row(n, k - 1)
+    row = [pb_number(0, k)]
+    for i in range(1, n + 1):
+        acc = previous[i] - sum(binomial(i, m - 1) * row[m] for m in range(1, i))
+        row.append(acc / (i + 1))
+    return row[n]
 
 
 def bernoulli_poly(n: int) -> Poly1:

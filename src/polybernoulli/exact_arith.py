@@ -2,8 +2,9 @@
 
 Rationals are stdlib ``fractions.Fraction`` throughout the package; this module
 adds the serialization used at the CLI boundary ("p/q", or "p" when the
-denominator is 1, sign always on the numerator) and the combinatorial tables
-everything else is built from.
+denominator is 1, sign always on the numerator) and two oracle tables: Stirling
+for ``verify`` and the tests (production reads ``core``'s weight triangle),
+Eulerian for the ``polyseries`` cross-checks.
 
 Conventions:
 

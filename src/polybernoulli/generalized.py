@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .core import _appell, _grown_row, _pb_row, bernoulli_poly, pb_poly
 from .exact_arith import binomial
@@ -128,7 +127,6 @@ def scale_from_classical(n: int, k: int, params: Params) -> GPBPoly:
     return GPBPoly(n, k, params, poly)
 
 
-@lru_cache(maxsize=None)
 def gen_bernoulli_poly(n: int, ln_a: Fraction, ln_b: Fraction) -> Poly1:
     """Generalized Bernoulli polynomial with kernel t e^(xt) / (b^t - a^t).
 
@@ -159,6 +157,7 @@ def recurrence_I(n: int, k: int, params: Params, variant: str = "derived") -> GP
         raise ValueError("recurrence_I holds for k >= 1")
     if variant not in ("derived", "printed"):
         raise ValueError("variant must be 'derived' or 'printed'")
+    bernoulli = [gen_bernoulli_poly(l, -params.alpha, params.beta) for l in range(n + 1)]
     acc = Poly1()
     for m in range(n + 1):
         outer = binomial(n, m) * gpb_number(n - m, k - 1, params)
@@ -168,7 +167,7 @@ def recurrence_I(n: int, k: int, params: Params, variant: str = "derived") -> GP
         for l in range(m + 1):
             e = m - l if variant == "derived" else m + l
             w = (-params.alpha) ** e * Fraction(binomial(m, l), n - l + 1)
-            inner = inner + w * gen_bernoulli_poly(l, -params.alpha, params.beta)
+            inner = inner + w * bernoulli[l]
         acc = acc + outer * inner
     return GPBPoly(n, k, params, params.log_sum * acc)
 

@@ -12,23 +12,24 @@ generating function e^(Xt) e^(Yu) / (e^t + e^u - e^(t+u)) with X = (x+alpha)/L
 and Y = (y+alpha)/L is symmetric under (t,X) <-> (u,Y), which is what makes
 the duality C_n^(-m)(x,y) = C_m^(-n)(y,x) hold for every parameter choice.  A
 shift of y alone (keeping x un-normalized) satisfies no such symmetry; the
-tests keep a counterexample.
+tests keep a counterexample.  sym_closed, the closed form by Stirling numbers
+of the second kind, is the production route; sym_def (the defining sum) and
+sym_gf_oracle (the generating function) are its two independent oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact_arith import binomial, stirling2
+from .core import _stirling_weights
+from .exact_arith import binomial
 from .generalized import Params, gpb_explicit
 from .polynomials import Poly1, Poly2
-from .polyseries import Series1, Series2, ps2_lonesum_kernel, ps_exp
+from .polyseries import Series2, ps2_lonesum_kernel
 
 __all__ = ["sym_def", "sym_closed", "sym_gf_oracle", "duality_check"]
 
 
-@lru_cache(maxsize=None)
 def sym_def(n: int, m: int, params: Params) -> Poly2:
     """Defining sum; exact bivariate polynomial in (x, y)."""
     if n < 0 or m < 0:
@@ -43,33 +44,32 @@ def sym_def(n: int, m: int, params: Params) -> Poly2:
     return Fraction(1) / L**n * acc
 
 
-@lru_cache(maxsize=None)
 def sym_closed(n: int, m: int, params: Params) -> Poly2:
-    """Closed double-Stirling form.
+    """Closed double-Stirling form, exact in (x, y).
 
-    sum_j (j!)^2 [sum_p C(n,p) S(p,j) X^(n-p)] [sum_l C(m,l) S(l,j) Y^(m-l)]
-    with X = (x+alpha)/L, Y = (y+alpha)/L; the second factor runs over the y
-    anchor (the x-anchored reading collapses to a one-variable polynomial and
-    fails the definition for every m >= 1).
+    sum_{a,b} C(n,a) C(m,b) D[n-a][m-b] X^a Y^b, X = (x+alpha)/L, Y = (y+alpha)/L
+    (a (y-beta)/L anchor fails the definition), D[p][q] = sum_j w(p,j) w(q,j)
+    = sum_j (j!)^2 S(p,j) S(q,j) over core's weight rows.  With alpha/L = P/Q,
+    the integer row map D[p] <- sum_i C(p,i) P^i Q^(p-i) D[p-i] along each axis
+    takes D = W W^T to V V^T, V the mapped weight rows, and the x^a y^b
+    coefficient is C(n,a) C(m,b) (V V^T)[n-a][m-b] / (Q^(n-a+m-b) L^(a+b)).
     """
     if n < 0 or m < 0:
         raise ValueError("sym_closed expects n, m >= 0")
-    L = params.log_sum
-    x_anchor = Poly1((params.alpha / L, Fraction(1) / L))
-    y_anchor = x_anchor
-    acc = Poly2()
-    fact = 1
-    for j in range(min(n, m) + 1):
-        if j:
-            fact *= j
-        fx = Poly1()
-        for p in range(n + 1):
-            fx = fx + (binomial(n, p) * stirling2(p, j)) * x_anchor ** (n - p)
-        fy = Poly1()
-        for l in range(m + 1):
-            fy = fy + (binomial(m, l) * stirling2(l, j)) * y_anchor ** (m - l)
-        acc = acc + (fact * fact) * Poly2.from_x(fx) * Poly2.from_y(fy)
-    return acc
+    rows = _stirling_weights(max(n, m))
+    P, Q = (params.alpha / params.log_sum).as_integer_ratio()
+    mapped = []
+    for p in range(max(n, m) + 1):
+        c = [binomial(p, i) * P**i * Q ** (p - i) for i in range(p + 1)]
+        mapped.append([sum(c[i] * rows[p - i][j] for i in range(p - j + 1)) for j in range(p + 1)])
+    num, den = params.log_sum.as_integer_ratio()
+    coeffs = {}
+    for a in range(n + 1):
+        for b in range(m + 1):
+            gram = sum(u * v for u, v in zip(mapped[n - a], mapped[m - b]))
+            top = binomial(n, a) * binomial(m, b) * gram * den ** (a + b)
+            coeffs[a, b] = Fraction(top, Q ** (n - a + m - b) * num ** (a + b))
+    return Poly2(coeffs)
 
 
 def sym_gf_oracle(params: Params, order_t: int, order_u: int) -> Series2:
@@ -103,4 +103,4 @@ def sym_gf_oracle(params: Params, order_t: int, order_u: int) -> Series2:
 
 def duality_check(n: int, m: int, params: Params) -> bool:
     """C_n^(-m)(x, y) == C_m^(-n)(y, x), exactly."""
-    return sym_def(n, m, params) == sym_def(m, n, params).swap_vars()
+    return sym_closed(n, m, params) == sym_closed(m, n, params).swap_vars()

@@ -363,19 +363,19 @@ def suite_duality(rng: random.Random, out: SuiteResult) -> None:
     pars = _rand_params(rng)
     n = rng.randint(0, 4)
     m = rng.randint(0, 4)
-    lhs = symmetrized.sym_def(n, m, pars)
-    rhs = symmetrized.sym_def(m, n, pars).swap_vars()
+    lhs = symmetrized.sym_closed(n, m, pars)
+    rhs = symmetrized.sym_closed(m, n, pars).swap_vars()
     out.check(f"duality (n,m)=({n},{m}) at {pars}", _poly2_str(lhs), _poly2_str(rhs))
     out.check(
         f"closed form (n,m)=({n},{m})",
-        _poly2_str(symmetrized.sym_closed(n, m, pars)),
+        _poly2_str(symmetrized.sym_def(n, m, pars)),
         _poly2_str(lhs),
     )
     gf = symmetrized.sym_gf_oracle(pars, n + 1, m + 1)
     slice_poly = gf.coefficient(n, m) * (math.factorial(n) * math.factorial(m))
     out.check(f"generating-function slice ({n},{m})", _poly2_str(slice_poly), _poly2_str(lhs))
     classical = Params(Fraction(1), Fraction(0))
-    c_poly = symmetrized.sym_def(n, m, classical)
+    c_poly = symmetrized.sym_closed(n, m, classical)
     out.check(
         f"classical origin value ({n},{m})",
         c_poly(Fraction(0), Fraction(0)),

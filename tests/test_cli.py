@@ -5,6 +5,7 @@ couple go through an actual subprocess to cover the module entry point.
 """
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from polybernoulli import cli
+from polybernoulli import cli, exact_arith
 from polybernoulli.zeta import hurwitz_zeta
 
 from mpmath import mp
@@ -91,6 +92,69 @@ def test_sym_poly_table_terms_cell(capsys):
         i, j, c = part.split(":")
         int(i), int(j)
         assert c
+
+
+# The exact requests of the benchmark's tables workload that the Stirling
+# weight triangle serves, each stdout taken from the double-Stirling and
+# defining-sum routes it replaced.  The two tables (576 KB and 15 KB of JSON)
+# are pinned by the SHA-256 of stdout.
+LARGE = ["--alpha", "1000000/7", "--beta", "1/999999"]
+TABLE_GOLDEN_SHA256 = {
+    "table --kind pb-neg --n 0:64 --k 0:64":
+        "fe2a6768b2526d11d23c52b2d6aefd172b18ff1e83412eaf710d7838c5f993a8",
+    "table --kind sym-poly --n 0:3 --m 0:3 --alpha 1000000/7 --beta 1/999999":
+        "9f8cb8d0da71a28e3b684953de4b1f7de50666ea799385909cf8af8b777cd536",
+}
+
+
+@pytest.mark.parametrize("line", sorted(TABLE_GOLDEN_SHA256))
+def test_exact_table_golden_sha256(line, capsys):
+    code, out, _ = run_main(line.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_GOLDEN_SHA256[line]
+
+
+SYM_EVAL_GOLDEN = """\
+{
+  "kind": "sym-poly",
+  "n": 12,
+  "x": "1/2",
+  "m": 10,
+  "y": "-1/3",
+  "params": {
+    "alpha": "1000000/7",
+    "beta": "1/999999"
+  },
+  "mode": "exact",
+  "value": "1864577409536093331286910188985576770035185133088517196698497169087122042608926926770475795703988087692913317749349470019504483128281271277036564711317916987851453195249317091068496511600772935327592425414227928725999223508627539727620762179128784303462657932902326649/1047595232283430314505322284477832960535228765548354850391488508048934647504306242013925929933125683627632843733706212183336426222334885925023354805820266047056158871579739881714044282659428580266935013000355960639968462081128432786317897129984004096"
+}
+"""
+
+
+def test_eval_sym_poly_golden_stdout(capsys):
+    code, out, _ = run_main(
+        ["eval", "--kind", "sym-poly", "--n", "12", "--m", "10", *LARGE, "--x", "1/2", "--y=-1/3"],
+        capsys,
+    )
+    assert code == 0
+    assert out == SYM_EVAL_GOLDEN
+
+
+def test_exact_requests_leave_the_stirling_oracle_alone(capsys, monkeypatch):
+    # Production reads core's weight triangle; the alternating-sum Stirling
+    # table is an oracle for verify and the tests only.
+    def oracle_only(*args):
+        raise AssertionError("a table or eval request reached stirling2")
+
+    monkeypatch.setattr(exact_arith, "stirling2", oracle_only)
+    monkeypatch.setattr(exact_arith.CombCache, "stirling2", oracle_only)
+    for argv in (
+        ["table", "--kind", "pb-neg", "--n", "0:12", "--k", "0:12"],
+        ["table", "--kind", "sym-poly", "--n", "0:4", "--m", "0:3", "--alpha", "1/2", "--beta", "1/3"],
+        ["eval", "--kind", "sym-poly", "--n", "9", "--m", "7", *LARGE, "--x", "1/2", "--y=-1/3"],
+    ):
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0 and out, argv
 
 
 # --------------------------------------------------------------------- eval
@@ -322,7 +386,7 @@ def test_exit_code_table_over_value_cap(capsys, monkeypatch):
         raise AssertionError("a refused table must not compute anything")
 
     monkeypatch.setattr(cli, "gpb_explicit", no_work)
-    monkeypatch.setattr(cli, "sym_def", no_work)
+    monkeypatch.setattr(cli, "sym_closed", no_work)
     code, out, err = run_main(
         ["table", "--kind", "gpb-poly", "--n", "0:64", "--k=-64:64"], capsys
     )

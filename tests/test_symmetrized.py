@@ -36,6 +36,17 @@ def test_closed_form_equals_definition():
         for n in range(6):
             for m in range(6):
                 assert sym_closed(n, m, params) == sym_def(n, m, params), (n, m, params)
+    # Larger indices, large parameters, alpha < 0, beta = 0 and empty axes.
+    for n, m, alpha, beta in (
+        (20, 20, Fraction(1, 2), Fraction(1, 3)),
+        (7, 11, Fraction(10**6, 7), Fraction(1, 999999)),
+        (0, 5, Fraction(1), Fraction(0)),
+        (6, 0, Fraction(-3, 2), Fraction(5, 7)),
+        (5, 4, Fraction(3, 2), Fraction(0)),
+        (0, 0, Fraction(1, 2), Fraction(1, 3)),
+    ):
+        params = Params(alpha, beta)
+        assert sym_closed(n, m, params) == sym_def(n, m, params), (n, m, params)
 
 
 def test_duality_exact():
