@@ -9,6 +9,8 @@ a test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
 feeds Kaneko's sum and both closed forms, symmetrized.sym_closed and negative
 upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
 (0,1)-matrices; lonesum_count() enumerates those two ways as their oracle.
+_kaneko_stream runs the same recurrence transposed, for the numeric zeta
+coefficients B_n^(k)/n!, without growing the triangle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 import math
 import threading
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exact_arith import binomial
 from .polynomials import Poly1
@@ -71,6 +73,27 @@ def _kaneko(n: int, k: int) -> Fraction:
         for m, w in enumerate(_stirling_weights(n)[n])
     )
     return Fraction((-1) ** n * num, lcm ** max(k, 0))
+
+
+def _kaneko_stream(k: int) -> Iterator[Fraction]:
+    """B_0^(k), B_1^(k), ... for k >= 1 without the weight triangle: its
+    recurrence w(n, m) = m (w(n-1, m) - w(n-1, m-1)), moved onto Kaneko's
+    e_m = 1/(m+1)^k, gives B_n^(k) = (-1)^n (T^n e)_0 with (T e)_m =
+    m e_m - (m+1) e_(m+1).  edge[m] = (T^(n-m) e)_m is kept as integers over
+    lcm(1..n+1)^k, rescaled as the lcm grows: term n costs n products by
+    small integers, where the sum over a weight row costs n large ones."""
+    edge: list[int] = []
+    lcm = 1
+    for n in itertools.count():
+        grown = math.lcm(lcm, n + 1)
+        if grown > lcm:
+            factor = (grown // lcm) ** k
+            edge = [t * factor for t in edge]
+            lcm = grown
+        edge.append((lcm // (n + 1)) ** k)
+        for m in range(n - 1, -1, -1):
+            edge[m] = m * edge[m] - (m + 1) * edge[m + 1]
+        yield Fraction((-1) ** n * edge[0], lcm**k)
 
 
 def _pb_row(n: int, k: int) -> list[Fraction]:

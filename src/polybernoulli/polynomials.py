@@ -8,6 +8,7 @@ side of + and *, which lets sum() run with its default start value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -225,10 +226,21 @@ class Poly2:
         return result
 
     def __call__(self, x, y) -> Fraction:
-        acc = Fraction(0)
-        for (i, j), c in self.terms.items():
-            acc += c * Fraction(x) ** i * Fraction(y) ** j
-        return acc
+        # Horner's rule in y within each x-degree, then in x, on integers:
+        # with x = a/b, y = c/d and D the coefficients' common denominator,
+        # D b^I d^J p(x, y) is an integer, so the result takes one gcd.
+        (a, b), (c, d) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
+        den = math.lcm(*(q.denominator for q in self.terms.values()))
+        top_i = max((i for i, _ in self.terms), default=0)
+        top_j = max((j for _, j in self.terms), default=0)
+        acc = 0
+        for i in range(top_i, -1, -1):
+            inner = 0
+            for j in range(top_j, -1, -1):
+                q = self.terms.get((i, j), 0)
+                inner = inner * c + q.numerator * (den // q.denominator) * d ** (top_j - j)
+            acc = acc * a + inner * b ** (top_i - i)
+        return Fraction(acc, den * b**top_i * d**top_j)
 
     def swap_vars(self) -> "Poly2":
         """p(y, x)."""

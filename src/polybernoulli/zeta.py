@@ -23,18 +23,11 @@ other:
   [0, t0, 1] plus [1, T] with an explicit exponential tail bound at the
   cutoff T).  With L = alpha + beta and z = 1 - e^(-Lt) the denominator
   e^(beta t) - e^(-alpha t) is e^(beta t) z, so the integrand is
-  R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k = Li_k(z)/z: one
-  exponential inside R_k and one for the rest.  R_k falls out of the sums
-  for Li_k.  For z <= 1/2 it is S = sum_n z^(n-1)/n^k itself, with z taken
-  from one exponential carried wide enough for the cancellation in 1 - e^(-v).
-  Closer to 1 it is Li_k/(1 - q), q = e^(-v), with Li_k summed as the
-  expansion around z = 1 in mu = log1p(-q) over one coefficient list
-  zeta(k-j)/j! per (k, working precision), built once and cached; that sum
-  stops after two consecutive nonzero terms beyond j = k fall below the
-  working epsilon: zeta(k-j) grows like (j-k)!/(2 pi)^(j-k), so mu^j/j!
-  alone does not bound a term.  Both sums run on integers at the fixed
-  scale 2^-(wp + 24); _polylog_ratio bounds their truncations, and
-  polylog_on_kernel is z R_k.
+  R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k(v) = Li_k(z)/z, one sum on
+  integers over a coefficient list cached per (k, working precision)
+  (_polylog_ratio).  For k >= 2 and v <= ln 2 that is the paper's generating
+  function sum_n B_n^(k) v^n/n!, so such a node takes one exponential;
+  beyond ln 2 it is the expansion of Li_k around z = 1.
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -55,6 +48,7 @@ floats; every numeric operation runs at the query precision plus guard bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,9 +56,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import to_fixed, to_rational
 
-from .core import bernoulli_numbers
+from .core import _kaneko_stream, bernoulli_numbers
 from .exact_arith import binomial, inv_int_pow
 from .generalized import Params, gpb_explicit
 
@@ -215,119 +209,124 @@ def hurwitz_zeta(s, a, precision: int) -> tuple:
 _FIXED_GUARD = 24  # bits the fixed-point sums carry beyond the working precision
 
 
+def _coefficient_list(coeffs, wp: int, first: int) -> tuple:
+    """The leading c_j of the iterable coeffs, exact Fractions, floored to
+    integers at scale 2^(wp + _FIXED_GUARD).  The list ends after two
+    consecutive nonzero c_j with j > first have |c_j| ln(2)^j below
+    2^-(wp+4), so it covers every |u| <= ln 2 in sum_j c_j u^j."""
+    scale = wp + _FIXED_GUARD
+    with mp.workprec(scale):
+        eps = mp.ldexp(1, -(wp + 4))
+        out, quiet = [], 0
+        for j, coeff in enumerate(coeffs):
+            out.append((coeff.numerator << scale) // coeff.denominator)
+            if j > first and coeff:
+                quiet = quiet + 1 if abs(_rat_mpf(coeff)) * mp.ln2**j < eps else 0
+                if quiet == 2:
+                    return tuple(out)
+
+
 @lru_cache(maxsize=16)
 def _kernel_coefficients(k: int, wp: int) -> tuple:
-    """c_j = zeta(k-j)/j! as integers at scale 2^(wp + _FIXED_GUARD), with
-    H_(k-1)/(k-1)! at j = k-1, for Li_k(e^mu) = sum_j c_j mu^j -
-    ln(-mu) mu^(k-1)/(k-1)!.  The list ends after two consecutive nonzero c_j
-    with j > k have |c_j| ln(2)^j below 2^-(wp+4), so it covers every
-    |mu| <= ln 2."""
-    with mp.workprec(wp + _FIXED_GUARD):
-        eps = mp.ldexp(1, -(wp + 4))
-        ln2 = +mp.ln2
-        coeffs = []
-        quiet = 0
-        j = 0
-        while quiet < 2:
+    """c_j = zeta(k-j)/j!, with H_(k-1)/(k-1)! at j = k-1, for Li_k(e^mu) =
+    sum_j c_j mu^j - ln(-mu) mu^(k-1)/(k-1)!.  zeta(k-j) grows like
+    (j-k)!/(2 pi)^(j-k), so the list ends on |c_j| ln(2)^j, past j = k."""
+
+    def zeta_over_factorial():
+        for j in itertools.count():
             m = k - j
             if m >= 2:
-                zeta_m = hurwitz_zeta(Fraction(m), Fraction(1), wp)[0]
+                zeta_m = Fraction(*to_rational(hurwitz_zeta(m, 1, wp)[0]._mpf_))
             elif m == 1:  # in place of the pole: H_(k-1)
-                zeta_m = _rat_mpf(sum(Fraction(1, i) for i in range(1, k)))
+                zeta_m = sum(Fraction(1, i) for i in range(1, k))
             elif m == 0:
-                zeta_m = mp.mpf(-0.5)
+                zeta_m = Fraction(-1, 2)
             else:  # zeta(-n) = -B_(n+1)/(n+1)
-                zeta_m = _rat_mpf(-bernoulli_numbers(1 - m)[1 - m] / (1 - m))
-            coeff = zeta_m / math.factorial(j)
-            coeffs.append(to_fixed(coeff._mpf_, wp + _FIXED_GUARD))
-            if j > k and coeff:
-                quiet = quiet + 1 if abs(coeff) * ln2**j < eps else 0
-            j += 1
-        return tuple(coeffs)
+                zeta_m = -bernoulli_numbers(1 - m)[1 - m] / (1 - m)
+            yield zeta_m / math.factorial(j)
+
+    return _coefficient_list(zeta_over_factorial(), wp, k)
 
 
-def _polylog_ratio(k: int, v, wp: int) -> tuple:
-    """(z, Li_k(z)/z) for z = 1 - e^(-v), v > 0, integer k >= 1, at working
-    precision wp; the ratio is what the quadrature kernel needs, since its
-    denominator e^(beta t) - e^(-alpha t) is e^(beta t) z.
+@lru_cache(maxsize=16)
+def _gf_coefficients(k: int, wp: int) -> tuple:
+    """c_n = B_n^(k)/n!, |c_n| <= 1, for the paper's generating function
+    Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n c_n v^n, from core._kaneko_stream."""
+    numbers = enumerate(_kaneko_stream(k))
+    return _coefficient_list((b / math.factorial(n) for n, b in numbers), wp, 0)
 
-    v carries at most wp bits.  For v <= ln 2 (z <= 1/2), z is 1 minus one
-    exponential taken wp + 8 + max(0, -mag v) bits wide, so that the
-    subtraction, exact because e^(-v) >= 1/2, leaves z within 2^-(wp+4)
-    relative before its rounding to wp bits (z = v - v^2/2 when
-    v < 2^-wp); the ratio is S = sum_n z^(n-1)/n^k in [1, 2), stopped at
-    the first term below 2^-(wp+4).  Beyond ln 2 the expansion of Li_k around
-    z = 1 in powers of mu = ln z = log1p(-q), q = e^(-v), is summed over the
-    coefficient list of _kernel_coefficients (zeta constants from the
-    in-package Hurwitz oracle and exact Bernoulli numbers), stopped after two
-    consecutive nonzero terms c_j mu^j with j > k below 2^-(wp+4), and the
-    ratio is Li_k / (1 - q).  For k = 1 the ratio is v/z.
-    Both sums run on integers at scale 2^(wp + G), G = _FIXED_GUARD, each
-    product truncated.  With |z|, |mu| <= ln 2 a running power is off by at
-    most 2/(1 - ln 2) < 7 units of 2^-(wp+G) and a term (|c_j| < 2) by 17; at
-    most k + wp terms keep the truncations below 2^-(wp+4) while
-    k + wp <= 2^(G-4)/17.  Entry and exit round once each at wp bits,
-    relative to S >= 1, or to Li_k >= 1/2 and z >= 1/2 on the expansion
-    branch, so the ratio is within 4 units of 2^-wp (2.6 at worst against
-    mpmath.polylog over k in {1, 2, 3, 5}, v from 1e-300 to 200 and wp from
-    96 to 332).
-    """
-    scale = wp + _FIXED_GUARD
-    eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
+
+def _kernel_z(v, wp: int) -> "mp.mpf":
+    """z = 1 - e^(-v) at wp bits, v > 0 carrying at most wp bits, from one
+    exponential, for v <= ln 2 taken wp + 8 + max(0, -mag v) bits wide: the
+    subtraction, exact as e^(-v) >= 1/2, leaves z within 2^-(wp+4) relative
+    before its rounding (v - v^2/2 when v < 2^-wp)."""
     with mp.workprec(wp):
-        if v <= mp.ln2:
-            mag = mp.mag(v)
-            if mag < -wp:
-                z = v - v * v / 2
-            else:
-                z = 1 - mp.exp(-v, prec=wp + 8 - min(mag, 0))
-            if k == 1:
-                return z, v / z
-            z_fixed = to_fixed(z._mpf_, scale)
-            zpow = acc = term = 1 << scale
-            n = 1
-            while term > eps:
-                n += 1
-                zpow = zpow * z_fixed >> scale
-                term = zpow // n**k
-                acc += term
-            return z, mp.ldexp(acc, -scale)
-        q = mp.exp(-v)
-        z = 1 - q
+        if v > mp.ln2:
+            return 1 - mp.exp(-v)
+        mag = mp.mag(v)
+        if mag < -wp:
+            return v - v * v / 2
+        return 1 - mp.exp(-v, prec=wp + 8 - min(mag, 0))
+
+
+def _polylog_ratio(k: int, v, wp: int) -> "mp.mpf":
+    """R_k(v) = Li_k(z)/z, z = 1 - e^(-v), for v > 0 carrying at most wp bits
+    and integer k >= 1, at working precision wp.
+
+    R_1 = v/z.  For k >= 2 it is one sum over a cached list: for v <= ln 2
+    the generating function (_gf_coefficients) in u = v, with no
+    exponential; beyond, the expansion of Li_k around z = 1
+    (_kernel_coefficients) in u = mu = ln z = log1p(-q), q = e^(-v), and
+    R_k = Li_k/(1 - q).  The sum runs on integers at scale 2^(wp+G),
+    G = _FIXED_GUARD, each product truncated, and stops after two
+    consecutive nonzero terms with j > first below 2^-(wp+4).  As
+    |u| <= ln 2, a running power is off by at most 2/(1 - ln 2) < 7 units of
+    2^-(wp+G) and a term by 7 |c| + 2: 9 for |c_n| <= 1, 16 for |c_j| < 2;
+    at most k + wp terms, k + wp <= 2^(G-4)/16, keep the truncations below
+    2^-(wp+4).  The generating function returns its integer sum unrounded,
+    so R_k >= 1 is within 2^-(wp+4) relative; the expansion rounds at entry
+    and exit, relative to Li_k >= 1/2 and z >= 1/2.  So R_k is within 4
+    units of 2^-wp (2.6 at worst against mpmath.polylog over k in {2, 3, 5},
+    v from 1e-300 to 200 and wp from 96 to 332).
+    """
+    with mp.workprec(wp):
         if k == 1:
-            return z, v / z
-        mu = mp.log1p(-q)  # in (-ln 2, 0)
-        mu_fixed = to_fixed(mu._mpf_, scale)
-        acc = 0
-        mupow = 1 << scale
-        quiet = 0
-        for j, coeff in enumerate(_kernel_coefficients(k, wp)):
+            return v / _kernel_z(v, wp)
+        small = v <= mp.ln2
+        if small:
+            coeffs, u, first = _gf_coefficients(k, wp), v, 0
+        else:
+            q = mp.exp(-v)
+            coeffs, u, first = _kernel_coefficients(k, wp), mp.log1p(-q), k
+        scale = wp + _FIXED_GUARD
+        eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
+        u_fixed = to_fixed(u._mpf_, scale)
+        acc, upow, quiet = 0, 1 << scale, 0
+        for j, coeff in enumerate(coeffs):
             if coeff:
-                term = coeff * mupow >> scale
+                term = coeff * upow >> scale
                 acc += term
-                if j > k:
+                if j > first:
                     quiet = quiet + 1 if abs(term) < eps else 0
                     if quiet == 2:
                         break
-            mupow = mupow * mu_fixed >> scale
-        li = mp.ldexp(acc, -scale) - mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
-        return z, li / z
+            upow = upow * u_fixed >> scale
+        if small:
+            return mp.ldexp(acc, -scale)
+        li = mp.ldexp(acc, -scale) - mp.log(-u) * u ** (k - 1) / math.factorial(k - 1)
+        return li / (1 - q)
 
 
 def polylog_on_kernel(k: int, v) -> "mp.mpf":
     """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at the current precision:
-    z times the ratio of _polylog_ratio, which bounds both sums."""
-    if k < 1:
-        raise ValueError("polylog_on_kernel needs k >= 1")
+    _kernel_z times R_k from _polylog_ratio, which bounds its sums."""
     v = mp.mpf(v)
-    if v < 0:
-        raise ValueError("polylog_on_kernel needs v >= 0")
-    if v == 0:
-        return mp.mpf(0)
-    if k == 1:
-        return v  # -ln(1 - z) with z = 1 - e^(-v)
-    z, ratio = _polylog_ratio(k, v, mp.prec)
-    return z * ratio
+    if k < 1 or v < 0:
+        raise ValueError("polylog_on_kernel needs k >= 1 and v >= 0")
+    if k == 1 or v == 0:
+        return v  # Li_1(z) = -ln(1 - z) = v
+    return _kernel_z(v, mp.prec) * _polylog_ratio(k, v, mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +484,9 @@ def _integral_tail_bound(k, s_m, x_m, alpha_m, beta_m, L_m, T):
 
 
 def _quadrature_kernel(query: ZetaQuery, kp: int):
-    """The integrand Li_k(z) e^(-xt) t^(s-1) / (e^(beta t) - e^(-alpha t)),
-    z = 1 - e^(-Lt), L = alpha + beta, as kernel(t) = R_k(Lt) exp((s-1) ln t
-    - (x+beta) t) with R_k = Li_k(z)/z from _polylog_ratio: the denominator is
-    e^(beta t) z.  kernel(t) is positive and runs at precision kp.
+    """kernel(t) = R_k(Lt) exp((s-1) ln t - (x+beta) t), the integrand of
+    the module docstring, positive, at precision kp; for k >= 2 and
+    Lt <= ln 2, R_k takes no exponential (_polylog_ratio): a node takes one.
 
     The exponent is rounded at kp + 8 + size bits, where 2^size bounds both
     its terms (|ln t| <= |mag t| + 3 since t > 2^(mag t - 3), and
@@ -508,7 +506,7 @@ def _quadrature_kernel(query: ZetaQuery, kp: int):
     def kernel(t):
         if t <= 0:
             return mp.mpf(0)
-        ratio = _polylog_ratio(k, mp.fmul(L_m, t, prec=kp), kp)[1]
+        ratio = _polylog_ratio(k, mp.fmul(L_m, t, prec=kp), kp)
         m = mp.mag(t)
         size = y_mag + m
         if s1:
@@ -537,7 +535,8 @@ def xi_quadrature(query: ZetaQuery) -> NumericResult:
 
     The kernel R_k(Lt) exp((s-1) ln t - (x+beta) t) (_quadrature_kernel)
     runs at kp = wp + 20, the precision mp.quad evaluates it at, and is
-    positive, so the relative error of each node carries over to the sum.
+    positive, so the relative error of each node carries over to the sum; a
+    node takes one exponential for k >= 2 and Lt <= ln 2, two otherwise.
     In units of 2^-kp: R_k is within 4 (_polylog_ratio); v = Lt is within 1,
     which moves R_k(v) by at most 1 more, since |v R_k'(v)/R_k(v)| < 1; the
     exponential is within 2^-5 plus its rounding, 1; the product adds 1.

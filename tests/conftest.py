@@ -1,8 +1,16 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 from math import comb
 
 from polybernoulli import Params, Poly1
+
+# Hypothesis caches the literals of local modules under ./.hypothesis even with
+# database=None; that cache goes to the temporary directory instead.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "polybernoulli-hypothesis")
+)
 
 CLASSICAL = Params(Fraction(1), Fraction(0))
 

@@ -1,5 +1,6 @@
 """Classical poly-Bernoulli numbers/polynomials against independent oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -201,6 +202,17 @@ def test_kaneko_weights_match_stirling2(monkeypatch):
     assert len(rows) == 65
     for n, row in enumerate(rows):
         assert row == tuple((-1) ** m * factorial(m) * stirling2(n, m) for m in range(n + 1)), n
+
+
+def test_kaneko_stream_matches_number_rows(monkeypatch):
+    # The stream runs the weight recurrence transposed: it equals Kaneko's
+    # sum over the triangle's rows, and reads no row of the triangle.
+    monkeypatch.setattr(core, "_KANEKO_WEIGHTS", {})
+    streamed = {k: list(itertools.islice(core._kaneko_stream(k), 41)) for k in (1, 2, 3, 7, 64)}
+    streamed[2] = list(itertools.islice(core._kaneko_stream(2), 150))
+    assert core._KANEKO_WEIGHTS == {}
+    for k, numbers in streamed.items():
+        assert numbers == [core._kaneko(n, k) for n in range(len(numbers))], k
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from polybernoulli import Poly1, Poly2
+from polybernoulli import Params, Poly1, Poly2, sym_closed
 
 from conftest import rand_rat
 
@@ -113,6 +113,12 @@ def test_poly2_eval_homomorphism():
         assert (p + q)(x, y) == p(x, y) + q(x, y)
         assert (p - q)(x, y) == p(x, y) - q(x, y)
         assert (p * q)(x, y) == p(x, y) * q(x, y)
+    # A dense degree-(20, 20) polynomial with large numerators and
+    # denominators, against the literal term sum.
+    big = sym_closed(20, 20, Params(Fraction(10**6, 7), Fraction(1, 999999)))
+    for x, y in ((Fraction(10**6, 7), Fraction(1, 999999)), (Fraction(1, 2), Fraction(-1, 3))):
+        assert big(x, y) == sum(c * x**i * y**j for (i, j), c in big.terms.items())
+    assert Poly2()(Fraction(3), Fraction(5)) == 0
 
 
 def test_poly2_swap_vars_is_involution():

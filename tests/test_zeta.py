@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import mpf_ln2, round_ceiling, round_floor
 
 from polybernoulli import (
     NonConvergenceError,
@@ -23,6 +25,7 @@ from polybernoulli import (
     difference_series,
     gpb_explicit,
     hurwitz_zeta,
+    pb_number,
     polylog_on_kernel,
     raabe_numeric,
     raabe_poly,
@@ -32,7 +35,13 @@ from polybernoulli import (
     xi_series,
 )
 
-from polybernoulli.zeta import GUARD_BITS, _difference_series_sum, _quadrature_kernel
+from polybernoulli.zeta import (
+    GUARD_BITS,
+    _difference_series_sum,
+    _gf_coefficients,
+    _polylog_ratio,
+    _quadrature_kernel,
+)
 
 from conftest import rand_params, rand_rat
 
@@ -104,19 +113,75 @@ def test_polylog_on_kernel_matches_reference():
             assert abs(got - ref) < abs(ref) * mp.ldexp(1, -88), (k, v_text)
     # The expansion around z = 1 must reach the working precision, including
     # v just above ln 2, where |mu| = |ln z| is largest and the coefficients
-    # zeta(k-j)/j! shrink only like (2 pi)^-j.  Below ln 2 the direct series
-    # must keep its relative accuracy: near_zero in xi_quadrature calls it
-    # far below 2^-100.
+    # zeta(k-j)/j! shrink only like (2 pi)^-j.  Below ln 2 the generating
+    # function sum_n B_n^(k) v^n/n! must keep its relative accuracy:
+    # near_zero in xi_quadrature calls it far below 2^-100.  ln 2 rounded
+    # down and up at wp bits sit on either side of the switch between sums.
     for wp in (96, 184, 312):
+        ln2_down = mp.make_mpf(mpf_ln2(wp, round_floor))
+        ln2_up = mp.make_mpf(mpf_ln2(wp, round_ceiling))
         for k in (2, 3, 5):
-            for v_text in ("1e-60", "1e-12", "1e-3", "0.3", "0.6931",
-                           "0.6932", "1.0", "2.5", "40"):
+            for v_text in ("1e-300", "1e-60", "1e-12", "1e-3", "0.3", "0.6931", ln2_down,
+                           ln2_up, "0.6932", "1.0", "2.5", "40", "200"):
                 with mp.workprec(wp):
                     got = polylog_on_kernel(k, mp.mpf(v_text))
                     assert mp.prec == wp
                 with mp.workprec(wp + 400):
                     ref = mpmath.polylog(k, -mp.expm1(-mp.mpf(v_text)))
                     assert abs(got - ref) < abs(ref) * mp.ldexp(1, -(wp - 8)), (wp, k, v_text)
+
+
+def test_polylog_ratio_within_four_units():
+    # _polylog_ratio's contract: R_k = Li_k(z)/z within 4 units of 2^-wp on
+    # both sums and across the switch between them at ln 2.
+    for wp in (96, 184, 312, 332):
+        ln2_down = mp.make_mpf(mpf_ln2(wp, round_floor))
+        ln2_up = mp.make_mpf(mpf_ln2(wp, round_ceiling))
+        for k in (2, 3, 5):
+            for v_text in ("1e-300", "1e-12", "0.01", "0.3", "0.6", "0.6931", ln2_down,
+                           ln2_up, "0.6932", "1.5", "5", "40", "200"):
+                with mp.workprec(wp):
+                    v = mp.mpf(v_text)
+                got = _polylog_ratio(k, v, wp)
+                with mp.workprec(wp + 400):
+                    z = -mp.expm1(-v)
+                    units = abs(got - mpmath.polylog(k, z) / z) * mp.ldexp(1, wp)
+                    assert units <= 4, (wp, k, v_text, units)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(
+    k=st.integers(2, 6),
+    log_v=st.floats(math.log(1e-40), math.log(60)),
+    wp=st.integers(64, 320),
+)
+def test_polylog_on_kernel_property(k, log_v, wp):
+    # v spans [1e-40, 60] on a log scale and carries wp bits.
+    with mp.workprec(wp):
+        v = mp.exp(log_v)
+        got = polylog_on_kernel(k, v)
+    with mp.workprec(wp + 400):
+        ref = mpmath.polylog(k, -mp.expm1(-v))
+        assert abs(got - ref) < abs(ref) * mp.ldexp(1, -(wp - 8)), (k, v, wp)
+
+
+def test_gf_coefficients_are_kaneko_numbers():
+    # R_k(v) = Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n B_n^(k) v^n/n!: the list
+    # holds the exact coefficients floored at scale 2^(wp+24), |c_n| <= 1,
+    # and every coefficient past its end is negligible for v <= ln 2.
+    for k in (2, 3, 5):
+        for wp in (96, 204, 332):
+            coeffs = _gf_coefficients(k, wp)
+            exact = [pb_number(n, k) / math.factorial(n) for n in range(len(coeffs) + 50)]
+            floors = [math.floor(c * 2 ** (wp + 24)) for c in exact[: len(coeffs)]]
+            assert list(coeffs) == floors
+            assert all(abs(c) <= 1 for c in exact)
+            with mp.workprec(wp + 64):
+                for n in range(len(coeffs), len(coeffs) + 50):
+                    c = mp.mpf(exact[n].numerator) / exact[n].denominator
+                    assert abs(c) * mp.ln2**n < mp.ldexp(1, -(wp + 4)), (k, wp, n)
+    # So no sum below ln 2 at 332 bits takes more than 110 terms.
+    assert len(_gf_coefficients(2, 332)) <= 110
 
 
 def test_polylog_on_kernel_small_v_direct_series():
