@@ -9,8 +9,9 @@ a test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
 feeds Kaneko's sum and both closed forms, symmetrized.sym_closed and negative
 upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
 (0,1)-matrices; lonesum_count() enumerates those two ways as their oracle.
-_kaneko_stream runs the same recurrence transposed, for the numeric zeta
-coefficients B_n^(k)/n!, without growing the triangle.
+The numeric zeta coefficients B_n^(k)/n! run the same recurrence and sum
+over unretained rows (_weight_rows), so the triangle holds only what the
+exact families ask for.
 """
 
 from __future__ import annotations
@@ -50,50 +51,37 @@ def _grown_row(rows: dict, key, n: int, entry: Callable[[int], Fraction]) -> lis
     return row
 
 
-def _kaneko_weights(n: int) -> tuple[int, ...]:
-    # w(n, m) = (-1)^m m! S(n, m) from the row before, by the Stirling
-    # recurrence: w(n, m) = m (w(n-1, m) - w(n-1, m-1)), w(n-1, n) = 0.
-    if n == 0:
-        return (1,)
-    prev = _KANEKO_WEIGHTS[None][n - 1] + (0,)
-    return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, n + 1))
+def _kaneko_weights(prev: tuple[int, ...]) -> tuple[int, ...]:
+    # w(n, m) = (-1)^m m! S(n, m) from row n - 1, by the Stirling recurrence:
+    # w(n, m) = m (w(n-1, m) - w(n-1, m-1)), w(n-1, n) = 0.
+    prev += (0,)
+    return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, len(prev)))
+
+
+def _weight_rows() -> Iterator[tuple[int, ...]]:
+    """Weight rows 0, 1, 2, ..., each from the one before, none retained."""
+    row = (1,)
+    while True:
+        yield row
+        row = _kaneko_weights(row)
 
 
 def _stirling_weights(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n, at least, of the weights w(p, m) = (-1)^m m! S(p, m), m <= p."""
-    return _grown_row(_KANEKO_WEIGHTS, None, n, _kaneko_weights)
+    rows = _KANEKO_WEIGHTS.setdefault(None, [(1,)])
+    return _grown_row(_KANEKO_WEIGHTS, None, n, lambda p: _kaneko_weights(rows[p - 1]))
 
 
-def _kaneko(n: int, k: int) -> Fraction:
-    # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, summed as integers over the
-    # common denominator lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
-    lcm = math.lcm(*range(1, n + 2)) if k > 0 else 1
+def _kaneko(n: int, k: int, weights: tuple[int, ...] | None = None) -> Fraction:
+    # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k over weight row n (by default
+    # the triangle's), summed as integers over the common denominator
+    # lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
+    den = math.lcm(*range(1, n + 2)) ** k if k > 0 else 1
     num = sum(
-        w * ((lcm // (m + 1)) ** k if k > 0 else (m + 1) ** -k)
-        for m, w in enumerate(_stirling_weights(n)[n])
+        w * (den // (m + 1) ** k if k > 0 else (m + 1) ** -k)
+        for m, w in enumerate(weights or _stirling_weights(n)[n])
     )
-    return Fraction((-1) ** n * num, lcm ** max(k, 0))
-
-
-def _kaneko_stream(k: int) -> Iterator[Fraction]:
-    """B_0^(k), B_1^(k), ... for k >= 1 without the weight triangle: its
-    recurrence w(n, m) = m (w(n-1, m) - w(n-1, m-1)), moved onto Kaneko's
-    e_m = 1/(m+1)^k, gives B_n^(k) = (-1)^n (T^n e)_0 with (T e)_m =
-    m e_m - (m+1) e_(m+1).  edge[m] = (T^(n-m) e)_m is kept as integers over
-    lcm(1..n+1)^k, rescaled as the lcm grows: term n costs n products by
-    small integers, where the sum over a weight row costs n large ones."""
-    edge: list[int] = []
-    lcm = 1
-    for n in itertools.count():
-        grown = math.lcm(lcm, n + 1)
-        if grown > lcm:
-            factor = (grown // lcm) ** k
-            edge = [t * factor for t in edge]
-            lcm = grown
-        edge.append((lcm // (n + 1)) ** k)
-        for m in range(n - 1, -1, -1):
-            edge[m] = m * edge[m] - (m + 1) * edge[m + 1]
-        yield Fraction((-1) ** n * edge[0], lcm**k)
+    return Fraction((-1) ** n * num, den)
 
 
 def _pb_row(n: int, k: int) -> list[Fraction]:

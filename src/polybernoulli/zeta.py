@@ -23,11 +23,10 @@ other:
   [0, t0, 1] plus [1, T] with an explicit exponential tail bound at the
   cutoff T).  With L = alpha + beta and z = 1 - e^(-Lt) the denominator
   e^(beta t) - e^(-alpha t) is e^(beta t) z, so the integrand is
-  R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k(v) = Li_k(z)/z, one sum on
-  integers over a coefficient list cached per (k, working precision)
-  (_polylog_ratio).  For k >= 2 and v <= ln 2 that is the paper's generating
-  function sum_n B_n^(k) v^n/n!, so such a node takes one exponential;
-  beyond ln 2 it is the expansion of Li_k around z = 1.
+  R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k(v) = Li_k(z)/z.  For k >= 2
+  and v <= ln 2, R_k is the paper's generating function sum_n B_n^(k) v^n/n!
+  and a node takes one exponential; beyond, Li_k is expanded around z = 1;
+  each is one integer sum over a list cached per (k, working precision).
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -58,7 +57,7 @@ from typing import NamedTuple
 from mpmath import mp
 from mpmath.libmp import to_fixed, to_rational
 
-from .core import _kaneko_stream, bernoulli_numbers
+from .core import _kaneko, _weight_rows, bernoulli_numbers
 from .exact_arith import binomial, inv_int_pow
 from .generalized import Params, gpb_explicit
 
@@ -250,82 +249,83 @@ def _kernel_coefficients(k: int, wp: int) -> tuple:
 
 @lru_cache(maxsize=16)
 def _gf_coefficients(k: int, wp: int) -> tuple:
-    """c_n = B_n^(k)/n!, |c_n| <= 1, for the paper's generating function
-    Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n c_n v^n, from core._kaneko_stream."""
-    numbers = enumerate(_kaneko_stream(k))
-    return _coefficient_list((b / math.factorial(n) for n, b in numbers), wp, 0)
+    """c_n = B_n^(k)/n!, |c_n| <= 1, of the paper's generating function
+    Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n c_n v^n, over unretained rows."""
+    rows = enumerate(_weight_rows())
+    return _coefficient_list((_kaneko(n, k, w) / math.factorial(n) for n, w in rows), wp, 0)
 
 
 def _kernel_z(v, wp: int) -> "mp.mpf":
-    """z = 1 - e^(-v) at wp bits, v > 0 carrying at most wp bits, from one
-    exponential, for v <= ln 2 taken wp + 8 + max(0, -mag v) bits wide: the
-    subtraction, exact as e^(-v) >= 1/2, leaves z within 2^-(wp+4) relative
-    before its rounding (v - v^2/2 when v < 2^-wp)."""
-    with mp.workprec(wp):
-        if v > mp.ln2:
-            return 1 - mp.exp(-v)
-        mag = mp.mag(v)
-        if mag < -wp:
-            return v - v * v / 2
-        return 1 - mp.exp(-v, prec=wp + 8 - min(mag, 0))
+    """z = 1 - e^(-v) under workprec(wp), v > 0 of at most wp bits, from one
+    exponential, for v <= ln 2 wp + 8 + max(0, -mag v) bits wide: exact as
+    e^(-v) >= 1/2, 1 - e^(-v) is within 2^-(wp+4) relative (v - v^2/2 if v < 2^-wp)."""
+    if v > mp.ln2:
+        return 1 - mp.exp(-v)
+    mag = mp.mag(v)
+    if mag < -wp:
+        return v - v * v / 2
+    return 1 - mp.exp(-v, prec=wp + 8 - min(mag, 0))
+
+
+def _coefficient_sum(coeffs, u, first: int, wp: int) -> "mp.mpf":
+    """sum_j c_j u^j, |u| <= ln 2, over a _coefficient_list under workprec(wp):
+    on integers at scale 2^(wp+G), G = _FIXED_GUARD, each product truncated,
+    stopped after two consecutive nonzero terms with j > first below
+    2^-(wp+4), and returned unrounded.  A running power is off by at most
+    2/(1 - ln 2) < 7 units of 2^-(wp+G), a term by 7 |c| + 2: 9 for |c_n| <= 1,
+    16 for |c_j| < 2; so k + wp <= 2^(G-4)/16 terms stay below 2^-(wp+4)."""
+    scale = wp + _FIXED_GUARD
+    eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
+    u_fixed = to_fixed(u._mpf_, scale)
+    acc, upow, quiet = 0, 1 << scale, 0
+    for j, coeff in enumerate(coeffs):
+        if coeff:
+            term = coeff * upow >> scale
+            acc += term
+            if j > first:
+                quiet = quiet + 1 if abs(term) < eps else 0
+                if quiet == 2:
+                    break
+        upow = upow * u_fixed >> scale
+    return mp.ldexp(acc, -scale)
+
+
+def _polylog_near_one(k: int, q, wp: int) -> "mp.mpf":
+    """Li_k(1 - q) for 0 < q < 1/2 and k >= 2 under workprec(wp): the
+    expansion around z = 1 in mu = ln z = log1p(-q), in (-ln 2, 0)."""
+    mu = mp.log1p(-q)
+    li = _coefficient_sum(_kernel_coefficients(k, wp), mu, k, wp)
+    return li - mp.log(-mu) * mu ** (k - 1) / math.factorial(k - 1)
 
 
 def _polylog_ratio(k: int, v, wp: int) -> "mp.mpf":
     """R_k(v) = Li_k(z)/z, z = 1 - e^(-v), for v > 0 carrying at most wp bits
-    and integer k >= 1, at working precision wp.
-
-    R_1 = v/z.  For k >= 2 it is one sum over a cached list: for v <= ln 2
-    the generating function (_gf_coefficients) in u = v, with no
-    exponential; beyond, the expansion of Li_k around z = 1
-    (_kernel_coefficients) in u = mu = ln z = log1p(-q), q = e^(-v), and
-    R_k = Li_k/(1 - q).  The sum runs on integers at scale 2^(wp+G),
-    G = _FIXED_GUARD, each product truncated, and stops after two
-    consecutive nonzero terms with j > first below 2^-(wp+4).  As
-    |u| <= ln 2, a running power is off by at most 2/(1 - ln 2) < 7 units of
-    2^-(wp+G) and a term by 7 |c| + 2: 9 for |c_n| <= 1, 16 for |c_j| < 2;
-    at most k + wp terms, k + wp <= 2^(G-4)/16, keep the truncations below
-    2^-(wp+4).  The generating function returns its integer sum unrounded,
-    so R_k >= 1 is within 2^-(wp+4) relative; the expansion rounds at entry
-    and exit, relative to Li_k >= 1/2 and z >= 1/2.  So R_k is within 4
-    units of 2^-wp (2.6 at worst against mpmath.polylog over k in {2, 3, 5},
-    v from 1e-300 to 200 and wp from 96 to 332).
-    """
+    and integer k >= 1, at working precision wp.  R_1 = v/z.  For k >= 2 and
+    v <= ln 2 it is the generating function sum_n c_n v^n (_gf_coefficients)
+    with no exponential: R_k >= 1 is within 2^-(wp+4) relative, unrounded.
+    Beyond, it is Li_k(1 - q)/(1 - q), q = e^(-v), whose sum rounds
+    at entry and exit relative to Li_k >= 1/2 and z >= 1/2.  So R_k is within
+    4 units of 2^-wp (2.6 at worst against mpmath.polylog over k in {2, 3, 5},
+    v from 1e-300 to 200 and wp from 96 to 332)."""
     with mp.workprec(wp):
         if k == 1:
             return v / _kernel_z(v, wp)
-        small = v <= mp.ln2
-        if small:
-            coeffs, u, first = _gf_coefficients(k, wp), v, 0
-        else:
-            q = mp.exp(-v)
-            coeffs, u, first = _kernel_coefficients(k, wp), mp.log1p(-q), k
-        scale = wp + _FIXED_GUARD
-        eps = 1 << (_FIXED_GUARD - 4)  # 2^-(wp+4) at the fixed scale
-        u_fixed = to_fixed(u._mpf_, scale)
-        acc, upow, quiet = 0, 1 << scale, 0
-        for j, coeff in enumerate(coeffs):
-            if coeff:
-                term = coeff * upow >> scale
-                acc += term
-                if j > first:
-                    quiet = quiet + 1 if abs(term) < eps else 0
-                    if quiet == 2:
-                        break
-            upow = upow * u_fixed >> scale
-        if small:
-            return mp.ldexp(acc, -scale)
-        li = mp.ldexp(acc, -scale) - mp.log(-u) * u ** (k - 1) / math.factorial(k - 1)
-        return li / (1 - q)
+        if v <= mp.ln2:
+            return _coefficient_sum(_gf_coefficients(k, wp), v, 0, wp)
+        q = mp.exp(-v)
+        return _polylog_near_one(k, q, wp) / (1 - q)
 
 
 def polylog_on_kernel(k: int, v) -> "mp.mpf":
-    """Li_k(1 - e^(-v)) for v >= 0, integer k >= 1, at the current precision:
-    _kernel_z times R_k from _polylog_ratio, which bounds its sums."""
+    """Li_k(1 - e^(-v)), v >= 0, integer k >= 1, at the current precision from
+    one exponential: z R_k for v <= ln 2, the expansion around z = 1 beyond."""
     v = mp.mpf(v)
     if k < 1 or v < 0:
         raise ValueError("polylog_on_kernel needs k >= 1 and v >= 0")
     if k == 1 or v == 0:
         return v  # Li_1(z) = -ln(1 - z) = v
+    if v > mp.ln2:
+        return _polylog_near_one(k, mp.exp(-v), mp.prec)
     return _kernel_z(v, mp.prec) * _polylog_ratio(k, v, mp.prec)
 
 

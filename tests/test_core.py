@@ -204,15 +204,18 @@ def test_kaneko_weights_match_stirling2(monkeypatch):
         assert row == tuple((-1) ** m * factorial(m) * stirling2(n, m) for m in range(n + 1)), n
 
 
-def test_kaneko_stream_matches_number_rows(monkeypatch):
-    # The stream runs the weight recurrence transposed: it equals Kaneko's
-    # sum over the triangle's rows, and reads no row of the triangle.
+def test_streamed_weight_rows_leave_the_triangle_alone(monkeypatch):
+    # The numeric zeta coefficients read weight rows from _weight_rows: the
+    # triangle's rows, by the same recurrence, none of them retained.
+    from polybernoulli import zeta
+
     monkeypatch.setattr(core, "_KANEKO_WEIGHTS", {})
-    streamed = {k: list(itertools.islice(core._kaneko_stream(k), 41)) for k in (1, 2, 3, 7, 64)}
-    streamed[2] = list(itertools.islice(core._kaneko_stream(2), 150))
+    streamed = list(itertools.islice(core._weight_rows(), 150))
+    zeta._gf_coefficients.__wrapped__(3, 204)
     assert core._KANEKO_WEIGHTS == {}
-    for k, numbers in streamed.items():
-        assert numbers == [core._kaneko(n, k) for n in range(len(numbers))], k
+    assert streamed == core._stirling_weights(149)[:150]
+    for k in (1, 2, 7, 64, -3):
+        assert [core._kaneko(n, k, streamed[n]) for n in range(41)] == core._pb_row(40, k)[:41]
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():
