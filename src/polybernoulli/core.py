@@ -1,17 +1,17 @@
 """Classical poly-Bernoulli numbers and polynomials (exact rationals).
 
 B_n^(k)(x) = sum_{m=0}^{n} (m+1)^(-k) sum_{j=0}^{m} (-1)^j C(m,j) (x-j)^n for
-any integer k, with B_n^(k) = B_n^(k)(0).  Values come from one cached row of
-numbers per k, Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k:
-the polynomials are its Appell sums sum_i C(n,i) B_{n-i}^(k) x^i, the
-Bernoulli polynomials those of B_m = (-1)^m B_m^(1); the literal double sum is
-a test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
-feeds Kaneko's sum and both closed forms, symmetrized.sym_closed and negative
-upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
+any integer k, with B_n^(k) = B_n^(k)(0).  Every number comes from one
+recurrence, Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k with
+the Stirling recurrence transposed onto the weights (m+1)^(-k)
+(_kaneko_numbers).  Each k keeps one row grown from its own stream: the
+polynomials are its Appell sums sum_i C(n,i) B_{n-i}^(k) x^i, the Bernoulli
+polynomials those of B_m = (-1)^m B_m^(1); the numeric zeta coefficients
+B_n^(k)/n! read a stream that no row keeps, and the literal double sum is a
+test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
+serves only the two Stirling closed forms, symmetrized.sym_closed and
+negative upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
 (0,1)-matrices; lonesum_count() enumerates those two ways as their oracle.
-The numeric zeta coefficients B_n^(k)/n! run the same recurrence and sum
-over unretained rows (_weight_rows), so the triangle holds only what the
-exact families ask for.
 """
 
 from __future__ import annotations
@@ -36,59 +36,63 @@ __all__ = [
 ]
 
 _ROW_LOCK = threading.RLock()
-_PB_ROWS: dict[int, list[Fraction]] = {}
-_KANEKO_WEIGHTS: dict[None, list[tuple[int, ...]]] = {}  # n: (-1)^m m! S(n,m)
-_BERNOULLI_ROWS: dict[None, list[Fraction]] = {}  # one row
+_PB_ROWS: dict[int, tuple[list[Fraction], Iterator[Fraction]]] = {}  # k: row, its stream
+_STIRLING_WEIGHTS: list[tuple[int, ...]] = []  # n: (-1)^m m! S(n,m)
+_BERNOULLI_ROW: list[Fraction] = []
 
 
-def _grown_row(rows: dict, key, n: int, entry: Callable[[int], Fraction]) -> list:
-    """rows[key], grown in place by entry(i) to at least n + 1 entries.  Rows
-    are only appended to, under a lock, so a returned row keeps its values."""
-    row = rows.setdefault(key, [])
+def _grown_row(row: list, n: int, entry: Callable[[int], Fraction]) -> list:
+    """row, grown in place by entry(i) to at least n + 1 entries.  Rows are
+    only appended to, under a lock, so a returned row keeps its values."""
     with _ROW_LOCK:
         while len(row) <= n:
             row.append(entry(len(row)))
     return row
 
 
-def _kaneko_weights(prev: tuple[int, ...]) -> tuple[int, ...]:
+def _next_stirling_weights(prev: tuple[int, ...]) -> tuple[int, ...]:
     # w(n, m) = (-1)^m m! S(n, m) from row n - 1, by the Stirling recurrence:
     # w(n, m) = m (w(n-1, m) - w(n-1, m-1)), w(n-1, n) = 0.
     prev += (0,)
     return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, len(prev)))
 
 
-def _weight_rows() -> Iterator[tuple[int, ...]]:
-    """Weight rows 0, 1, 2, ..., each from the one before, none retained."""
-    row = (1,)
-    while True:
-        yield row
-        row = _kaneko_weights(row)
-
-
 def _stirling_weights(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n, at least, of the weights w(p, m) = (-1)^m m! S(p, m), m <= p."""
-    rows = _KANEKO_WEIGHTS.setdefault(None, [(1,)])
-    return _grown_row(_KANEKO_WEIGHTS, None, n, lambda p: _kaneko_weights(rows[p - 1]))
+    rows = _STIRLING_WEIGHTS
+    return _grown_row(rows, n, lambda p: _next_stirling_weights(rows[p - 1]) if p else (1,))
 
 
-def _kaneko(n: int, k: int, weights: tuple[int, ...] | None = None) -> Fraction:
-    # (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k over weight row n (by default
-    # the triangle's), summed as integers over the common denominator
-    # lcm(1..n+1)^k (1 when k <= 0): one gcd per number.
-    den = math.lcm(*range(1, n + 2)) ** k if k > 0 else 1
-    num = sum(
-        w * (den // (m + 1) ** k if k > 0 else (m + 1) ** -k)
-        for m, w in enumerate(weights or _stirling_weights(n)[n])
-    )
-    return Fraction((-1) ** n * num, den)
+def _kaneko_numbers(k: int) -> Iterator[Fraction]:
+    """B_0^(k), B_1^(k), ... by the weight recurrence transposed onto
+    e_m = (m+1)^(-k): B_n^(k) = b(n, 0) with b(0, m) = e_m and
+    b(i, m) = (m+1) b(i-1, m+1) - m b(i-1, m).  After e_n, edge[i] holds the
+    anti-diagonal b(i, n-i), as integers over den = lcm(1..n+1)^k (1 when
+    k <= 0), so a number costs n products by small integers and one gcd."""
+    edge: list[int] = []
+    root = den = 1
+    for n in itertools.count():
+        if k > 0:
+            grown = math.lcm(root, n + 1)
+            if grown > root:
+                scale = (grown // root) ** k
+                edge = [b * scale for b in edge]
+                root, den = grown, den * scale
+            b = den // (n + 1) ** k
+        else:
+            b = (n + 1) ** -k
+        for i, prev in enumerate(edge, 1):
+            edge[i - 1], b = b, (n - i + 1) * b - (n - i) * prev
+        edge.append(b)
+        yield Fraction(b, den)
 
 
 def _pb_row(n: int, k: int) -> list[Fraction]:
     """B_0^(k) .. B_n^(k) (the cached row may hold more entries)."""
     if n < 0:
         raise ValueError("poly-Bernoulli index n must be >= 0, got %d" % n)
-    return _grown_row(_PB_ROWS, k, n, lambda i: _kaneko(i, k))
+    row, numbers = _PB_ROWS.setdefault(k, ([], _kaneko_numbers(k)))
+    return _grown_row(row, n, lambda i: next(numbers))
 
 
 def _appell(row, n: int) -> list[Fraction]:
@@ -156,7 +160,7 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
     from the tangent numbers T_k."""
     if n < 0:
         raise ValueError("Bernoulli index n must be >= 0, got %d" % n)
-    row = _BERNOULLI_ROWS.get(None, [])
+    row = _BERNOULLI_ROW
     if len(row) <= n:
         # At least double the row, so that callers stepping one index up at a
         # time recompute the tangent numbers only O(log n) times.
@@ -171,7 +175,7 @@ def bernoulli_numbers(n: int) -> list[Fraction]:
             k = i // 2
             return Fraction((-1) ** (k - 1) * i * tangents[k - 1], 4**k * (4**k - 1))
 
-        row = _grown_row(_BERNOULLI_ROWS, None, top, entry)
+        _grown_row(row, top, entry)
     return row[: n + 1]
 
 

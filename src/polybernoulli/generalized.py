@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import _appell, _grown_row, _pb_row, bernoulli_poly, pb_poly
+from .core import _ROW_LOCK, _appell, _grown_row, _pb_row, bernoulli_poly, pb_poly
 from .exact_arith import binomial
 from .polynomials import Poly1
 
@@ -83,11 +83,18 @@ class GPBPoly:
         return self
 
 
-_GPB_ROWS: dict[tuple, list[Fraction]] = {}
+_GPB_ROWS: dict[tuple, list[Fraction]] = {}  # (k, alpha, beta): row, oldest first
+_GPB_ROWS_MAX = 256  # a CLI table touches at most 129 values of k for one (alpha, beta)
 
 
 def _gpb_row(n: int, k: int, params: Params) -> list[Fraction]:
-    """B_0^(k)(a, b) .. B_n^(k)(a, b), mapped from the classical row."""
+    """B_0^(k)(a, b) .. B_n^(k)(a, b), mapped from the classical row; the
+    oldest cached row goes once _GPB_ROWS_MAX are held."""
+    key = (k, params.alpha, params.beta)
+    with _ROW_LOCK:
+        if key not in _GPB_ROWS and len(_GPB_ROWS) >= _GPB_ROWS_MAX:
+            del _GPB_ROWS[next(iter(_GPB_ROWS))]
+        row = _GPB_ROWS.setdefault(key, [])
     L, minus_beta = params.log_sum, -params.beta
     classical = _pb_row(n, k)
 
@@ -97,7 +104,7 @@ def _gpb_row(n: int, k: int, params: Params) -> list[Fraction]:
             for i in range(m + 1)
         )
 
-    return _grown_row(_GPB_ROWS, (k, params.alpha, params.beta), n, entry)
+    return _grown_row(row, n, entry)
 
 
 def gpb_explicit(n: int, k: int, params: Params) -> GPBPoly:

@@ -24,9 +24,10 @@ other:
   cutoff T).  With L = alpha + beta and z = 1 - e^(-Lt) the denominator
   e^(beta t) - e^(-alpha t) is e^(beta t) z, so the integrand is
   R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k(v) = Li_k(z)/z.  For k >= 2
-  and v <= ln 2, R_k is the paper's generating function sum_n B_n^(k) v^n/n!
-  and a node takes one exponential; beyond, Li_k is expanded around z = 1;
-  each is one integer sum over a list cached per (k, working precision).
+  and v <= ln 2, R_k is the paper's generating function sum_n B_n^(k) v^n/n!,
+  its numbers streamed from core's Kaneko recurrence, and a node takes one
+  exponential; beyond, Li_k is expanded around z = 1; each is one integer
+  sum over a list cached per (k, working precision).
 * xi_reduced rescales the classical (alpha=1, beta=0) series:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -57,7 +58,7 @@ from typing import NamedTuple
 from mpmath import mp
 from mpmath.libmp import to_fixed, to_rational
 
-from .core import _kaneko, _weight_rows, bernoulli_numbers
+from .core import _kaneko_numbers, bernoulli_numbers
 from .exact_arith import binomial, inv_int_pow
 from .generalized import Params, gpb_explicit
 
@@ -250,9 +251,10 @@ def _kernel_coefficients(k: int, wp: int) -> tuple:
 @lru_cache(maxsize=16)
 def _gf_coefficients(k: int, wp: int) -> tuple:
     """c_n = B_n^(k)/n!, |c_n| <= 1, of the paper's generating function
-    Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n c_n v^n, over unretained rows."""
-    rows = enumerate(_weight_rows())
-    return _coefficient_list((_kaneko(n, k, w) / math.factorial(n) for n, w in rows), wp, 0)
+    Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n c_n v^n, from a fresh stream of
+    core's Kaneko recurrence that no row cache keeps."""
+    numbers = enumerate(_kaneko_numbers(k))
+    return _coefficient_list((b / math.factorial(n) for n, b in numbers), wp, 0)
 
 
 def _kernel_z(v, wp: int) -> "mp.mpf":
@@ -332,26 +334,18 @@ def polylog_on_kernel(k: int, v) -> "mp.mpf":
 # ---------------------------------------------------------------------------
 # The shared series engine.
 
-def _difference_series_sum(
-    k: int,
-    s: Fraction,
-    x,
-    alpha: Fraction,
-    beta: Fraction,
-    shift: int,
-    precision: int,
-    max_terms: int,
-) -> NumericResult:
+def _difference_series_sum(query: ZetaQuery, shift: int = 0, x=None) -> NumericResult:
     """sum_{m>=0} (m+1)^(-k) sum_{j=0}^{m+d} (-1)^j C(m+d, j) f(j)
-    with d = shift, f(j) = base_j^(-s) and base_j = x + j alpha + (j+1) beta.
+    with d = shift, f(j) = base_j^(-s) and base_j = x + j alpha + (j+1) beta,
+    k, s, x, alpha, beta and the precision taken from the query.
 
     The inner sum at d = m + shift is the d-th difference g_d(0) of the
     table g_0 = f, g_i(j) = g_(i-1)(j) - g_(i-1)(j+1); `edge` keeps its
     anti-diagonal g_i(d-i), so each outer term costs one power and d
     subtractions.  Stops at the first index where three consecutive outer
     terms fall below 2^-(precision+8) in absolute value; raises
-    NonConvergenceError when max_terms is hit first.  x may be a Fraction or
-    an mpf (the latter is used by quadrature over x).
+    NonConvergenceError when max_terms is hit first.  x, when given, replaces
+    the query's, and may be an mpf (raabe_numeric integrates over it).
 
     The differences cancel about d bits, so the working precision carries a
     cancellation budget; once d would exceed it the sum restarts from the
@@ -367,6 +361,9 @@ def _difference_series_sum(
     n >= 2 at the stop, carry at most 4.25 (n+1) u_d <= (n+2)(d+2) u_d: the
     bound of the former mpf table (entry i carried (i+1) units), now looser.
     """
+    k, s, precision, max_terms = query.k, query.s, query.precision, query.max_terms
+    alpha, beta = query.params.alpha, query.params.beta
+    x = query.x if x is None else x
     threshold = mp.ldexp(1, -(precision + 8))
     cancel_budget = 96
     extra = 4 + math.ceil(s).bit_length()
@@ -438,16 +435,7 @@ def xi_series(query: ZetaQuery) -> NumericResult:
     query.require_numeric()
     if query.params.beta <= 0:
         raise ValueError("xi_series needs beta > 0 (xi_reduced covers beta = 0)")
-    return _difference_series_sum(
-        query.k,
-        query.s,
-        query.x,
-        query.params.alpha,
-        query.params.beta,
-        0,
-        query.precision,
-        query.max_terms,
-    )
+    return _difference_series_sum(query)
 
 
 def xi_reduced(query: ZetaQuery) -> NumericResult:
@@ -455,9 +443,7 @@ def xi_reduced(query: ZetaQuery) -> NumericResult:
     query.require_numeric()
     L = query.params.log_sum
     y = (query.x + query.params.beta) / L
-    res = _difference_series_sum(
-        query.k, query.s, y, Fraction(1), Fraction(0), 0, query.precision, query.max_terms
-    )
+    res = _difference_series_sum(replace(query, x=y, params=Params(1, 0)))
     with mp.workprec(query.precision + GUARD_BITS + 16):
         scale = _rat_mpf(L) ** (-_rat_mpf(query.s))
         value = res.value * scale
@@ -647,16 +633,7 @@ def difference_series(query: ZetaQuery) -> NumericResult:
     """Numeric xi_k(s, x+alpha+beta) - xi_k(s, x) via the one-step-higher
     difference series (same stopping rule as xi_series)."""
     query.require_numeric()
-    res = _difference_series_sum(
-        query.k,
-        query.s,
-        query.x,
-        query.params.alpha,
-        query.params.beta,
-        1,
-        query.precision,
-        query.max_terms,
-    )
+    res = _difference_series_sum(query, 1)
     return NumericResult(-res.value, res.error, res.terms)
 
 
@@ -690,20 +667,12 @@ def raabe_numeric(query: ZetaQuery) -> tuple[NumericResult, NumericResult]:
     p = query.precision
     wp = p + GUARD_BITS + 16
     integrand_errors = []
+    finer = replace(query, precision=min(p + 8, 4096))  # ZetaQuery's cap
     with mp.workprec(wp):
         L_m = _rat_mpf(query.params.log_sum)
 
         def integrand(w):
-            res = _difference_series_sum(
-                query.k,
-                query.s,
-                _rat_mpf(query.x) + w,
-                query.params.alpha,
-                query.params.beta,
-                0,
-                p + 8,
-                query.max_terms,
-            )
+            res = _difference_series_sum(finer, 0, _rat_mpf(query.x) + w)
             integrand_errors.append(res.error)
             return res.value
 
@@ -714,16 +683,7 @@ def raabe_numeric(query: ZetaQuery) -> tuple[NumericResult, NumericResult]:
             )
         lhs_err = lhs_quad_err + L_m * (max(integrand_errors) if integrand_errors else 0)
         lhs = NumericResult(lhs_value, lhs_err, len(integrand_errors))
-        rhs_raw = _difference_series_sum(
-            query.k,
-            query.s - 1,
-            query.x,
-            query.params.alpha,
-            query.params.beta,
-            1,
-            p,
-            query.max_terms,
-        )
+        rhs_raw = _difference_series_sum(replace(query, s=query.s - 1), 1)
         scale = 1 / (_rat_mpf(query.s) - 1)
         rhs = NumericResult(rhs_raw.value * scale, rhs_raw.error * abs(scale), rhs_raw.terms)
         return lhs, rhs

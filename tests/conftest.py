@@ -6,6 +6,11 @@ from math import comb
 
 from polybernoulli import Params, Poly1
 
+# Child processes (the CLI run as a subprocess) import the code under test
+# from this checkout's src, not from whatever copy is installed.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 # Hypothesis caches the literals of local modules under ./.hypothesis even with
 # database=None; that cache goes to the temporary directory instead.
 os.environ.setdefault(

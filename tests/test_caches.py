@@ -1,11 +1,16 @@
-"""Package-wide cache policy: every functools cache has a finite bound, so a
-long-running process cannot grow one without limit."""
+"""Package-wide cache policy: every functools cache and the generalized
+number rows have a finite bound, so a long-running process cannot grow one
+without limit."""
 
 import importlib
 import inspect
 import pkgutil
+from fractions import Fraction
 
 import polybernoulli
+from polybernoulli import Params, generalized, gpb_number
+
+from conftest import literal_double_sum
 
 
 def test_every_functools_cache_is_bounded():
@@ -20,3 +25,18 @@ def test_every_functools_cache_is_bounded():
                     seen.append(f"{info.name}.{name}")
                     assert obj.cache_parameters()["maxsize"] is not None, seen[-1]
     assert {"zeta._kernel_coefficients", "zeta._gf_coefficients"} <= set(seen)
+
+
+def test_generalized_number_rows_are_bounded(monkeypatch):
+    # Three times the bound in distinct (k, alpha, beta): the cache keeps the
+    # newest rows, and every value, whether its row was evicted or kept, still
+    # equals the literal double sum.
+    monkeypatch.setattr(generalized, "_GPB_ROWS", {})
+    bound = generalized._GPB_ROWS_MAX
+    cases = [(i % 5 - 2, Params(Fraction(i + 1, 3), Fraction(1, 2))) for i in range(3 * bound)]
+    for k, params in cases:
+        gpb_number(3, k, params)
+    assert list(generalized._GPB_ROWS) == [(k, p.alpha, p.beta) for k, p in cases[-bound:]]
+    for k, params in cases:
+        assert gpb_number(3, k, params) == literal_double_sum(3, k, params)(0), (k, params)
+    assert len(generalized._GPB_ROWS) == bound

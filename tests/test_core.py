@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import mpmath
 import pytest
@@ -23,6 +23,18 @@ from polybernoulli import (
 from conftest import literal_double_sum, rand_rat
 
 
+def kaneko_stirling_sum(n, k):
+    """Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k, over the
+    exact_arith Stirling table: an oracle apart from core's recurrence.  The
+    sum runs on integers over lcm(1..n+1)^k, 1 when k <= 0."""
+    den = lcm(*range(1, n + 2)) ** max(k, 0)
+    total = 0
+    for m in range(n + 1):
+        share = den // (m + 1) ** k if k > 0 else (m + 1) ** -k
+        total += (-1) ** (n + m) * factorial(m) * stirling2(n, m) * share
+    return Fraction(total, den)
+
+
 def brute_double_sum(n, k, x):
     """Literal double sum at classical parameters, evaluated at x."""
     return literal_double_sum(n, k)(Fraction(x))
@@ -38,7 +50,8 @@ def test_pb_poly_matches_literal_double_sum():
 
 def test_number_row_grows_once_under_concurrent_readers():
     # One row per k, grown to the largest n asked for; threads growing it at
-    # the same time must neither skip nor repeat an entry.
+    # the same time must neither skip nor repeat an entry, and its stream of
+    # numbers, advanced by two threads at once, would raise.
     import sys
     import threading
 
@@ -63,9 +76,9 @@ def test_number_row_grows_once_under_concurrent_readers():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old)
-    row = core._PB_ROWS[k]
+    row = core._PB_ROWS[k][0]
     assert len(row) == max(tops) + 1
-    assert row == [core._kaneko(n, k) for n in range(len(row))]
+    assert row == [kaneko_stirling_sum(n, k) for n in range(len(row))]
     for i, top in enumerate(tops):
         assert seen[i] == row[: top + 1]
 
@@ -179,7 +192,7 @@ def binomial_recurrence_bernoulli(n):
 def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
     # Start from an empty row and ask out of order, so the row grows past 64
     # and 128 entries in several steps; mpmath.bernfrac is exact, B_1 = -1/2.
-    monkeypatch.setattr(core, "_BERNOULLI_ROWS", {})
+    monkeypatch.setattr(core, "_BERNOULLI_ROW", [])
     for m in (65, 2, 128, 1, 63, 200, 64, 127):
         assert bernoulli_numbers(m)[m] == Fraction(*mpmath.bernfrac(m)), m
     assert bernoulli_numbers(200) == [Fraction(*mpmath.bernfrac(m)) for m in range(201)]
@@ -192,30 +205,39 @@ def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
         bernoulli_numbers(-1)
 
 
-def test_kaneko_weights_match_stirling2(monkeypatch):
+def test_stirling_weights_match_stirling2(monkeypatch):
     # The weight rows grow by the Stirling recurrence; asked out of order from
-    # an empty row, every row up to n = 64 is (-1)^m m! S(n, m).
-    monkeypatch.setattr(core, "_KANEKO_WEIGHTS", {})
+    # an empty triangle, every row up to n = 64 is (-1)^m m! S(n, m).
+    monkeypatch.setattr(core, "_STIRLING_WEIGHTS", [])
     for n in (40, 3, 64, 0, 41):
-        core._kaneko(n, 1)
-    rows = core._KANEKO_WEIGHTS[None]
+        core._stirling_weights(n)
+    rows = core._STIRLING_WEIGHTS
     assert len(rows) == 65
     for n, row in enumerate(rows):
         assert row == tuple((-1) ** m * factorial(m) * stirling2(n, m) for m in range(n + 1)), n
 
 
-def test_streamed_weight_rows_leave_the_triangle_alone(monkeypatch):
-    # The numeric zeta coefficients read weight rows from _weight_rows: the
-    # triangle's rows, by the same recurrence, none of them retained.
+def test_numbers_grow_no_stirling_row(monkeypatch):
+    # Numbers and the numeric zeta coefficients come from the Kaneko
+    # recurrence; only the two Stirling closed forms read the weight triangle.
     from polybernoulli import zeta
 
-    monkeypatch.setattr(core, "_KANEKO_WEIGHTS", {})
-    streamed = list(itertools.islice(core._weight_rows(), 150))
-    zeta._gf_coefficients.__wrapped__(3, 204)
-    assert core._KANEKO_WEIGHTS == {}
-    assert streamed == core._stirling_weights(149)[:150]
+    monkeypatch.setattr(core, "_STIRLING_WEIGHTS", [])
     for k in (1, 2, 7, 64, -3):
-        assert [core._kaneko(n, k, streamed[n]) for n in range(41)] == core._pb_row(40, k)[:41]
+        monkeypatch.delitem(core._PB_ROWS, k, raising=False)
+        pb_number(40, k)
+    zeta._gf_coefficients.__wrapped__(3, 204)
+    assert core._STIRLING_WEIGHTS == []
+    pb_number_neg_closed(5, 3)
+    assert len(core._STIRLING_WEIGHTS) == 7
+
+
+def test_kaneko_numbers_match_stirling_sum():
+    # The recurrence stream against Kaneko's weighted Stirling sum, for every
+    # k and n the CLI accepts.
+    for k in range(-64, 65):
+        numbers = list(itertools.islice(core._kaneko_numbers(k), 65))
+        assert numbers == [kaneko_stirling_sum(n, k) for n in range(65)], k
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():

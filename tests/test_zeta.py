@@ -169,17 +169,17 @@ def test_gf_coefficients_are_kaneko_numbers():
     # R_k(v) = Li_k(1 - e^(-v))/(1 - e^(-v)) = sum_n B_n^(k) v^n/n!: the list
     # holds the exact coefficients floored at scale 2^(wp+24), |c_n| <= 1,
     # and every coefficient past its end is negligible for v <= ln 2.
-    for k in (2, 3, 5):
-        for wp in (96, 204, 332):
-            coeffs = _gf_coefficients(k, wp)
-            exact = [pb_number(n, k) / math.factorial(n) for n in range(len(coeffs) + 50)]
-            floors = [math.floor(c * 2 ** (wp + 24)) for c in exact[: len(coeffs)]]
-            assert list(coeffs) == floors
-            assert all(abs(c) <= 1 for c in exact)
-            with mp.workprec(wp + 64):
-                for n in range(len(coeffs), len(coeffs) + 50):
-                    c = mp.mpf(exact[n].numerator) / exact[n].denominator
-                    assert abs(c) * mp.ln2**n < mp.ldexp(1, -(wp + 4)), (k, wp, n)
+    grid = [(k, wp) for k in (2, 3, 5) for wp in (96, 204, 332)] + [(64, 204)]
+    for k, wp in grid:
+        coeffs = _gf_coefficients(k, wp)
+        exact = [pb_number(n, k) / math.factorial(n) for n in range(len(coeffs) + 50)]
+        floors = [math.floor(c * 2 ** (wp + 24)) for c in exact[: len(coeffs)]]
+        assert list(coeffs) == floors
+        assert all(abs(c) <= 1 for c in exact)
+        with mp.workprec(wp + 64):
+            for n in range(len(coeffs), len(coeffs) + 50):
+                c = mp.mpf(exact[n].numerator) / exact[n].denominator
+                assert abs(c) * mp.ln2**n < mp.ldexp(1, -(wp + 4)), (k, wp, n)
     # So no sum below ln 2 at 332 bits takes more than 110 terms.
     assert len(_gf_coefficients(2, 332)) <= 110
 
@@ -309,7 +309,7 @@ def test_difference_series_sum_within_error_of_literal_sum(shift):
     for *args, terms in SERIES_PINNED:
         q = pinned_query(*args)
         a, b = q.params.alpha, q.params.beta
-        res = _difference_series_sum(q.k, q.s, q.x, a, b, shift, q.precision, q.max_terms)
+        res = _difference_series_sum(q, shift)
         if shift == 0:
             assert res.terms == terms, args
         d_top = res.terms - 1 + shift
