@@ -1,17 +1,20 @@
 """Classical poly-Bernoulli numbers and polynomials (exact rationals).
 
 B_n^(k)(x) = sum_{m=0}^{n} (m+1)^(-k) sum_{j=0}^{m} (-1)^j C(m,j) (x-j)^n for
-any integer k, with B_n^(k) = B_n^(k)(0).  Every number comes from one
-recurrence, Kaneko's B_n^(k) = (-1)^n sum_m (-1)^m m! S(n,m) / (m+1)^k with
-the Stirling recurrence transposed onto the weights (m+1)^(-k)
-(_kaneko_numbers).  Each k keeps one row grown from its own stream: the
-polynomials are its Appell sums sum_i C(n,i) B_{n-i}^(k) x^i, the Bernoulli
-polynomials those of B_m = (-1)^m B_m^(1); the numeric zeta coefficients
-B_n^(k)/n! read a stream that no row keeps, and the literal double sum is a
-test oracle.  One triangle of weights (-1)^j j! S(n,j), grown by recurrence,
-serves only the two Stirling closed forms, symmetrized.sym_closed and
-negative upper index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which counts lonesum
-(0,1)-matrices; lonesum_count() enumerates those two ways as their oracle.
+any integer k, with B_n^(k) = B_n^(k)(0).  One integer weight
+W_{P,Q}(n, m) = sum_j (-1)^j C(m,j) (P + jQ)^n, grown by
+W(n, m) = (P + mQ) W(n-1, m) - mQ W(n-1, m-1) (_next_weights), is behind every
+value; W_{0,1}(n, m) = (-1)^m m! S(n, m).  Transposed onto (m+1)^(-k) it
+yields the numbers B_n^(k)(0; a, b) = (-1)^n sum_m W_{beta,L}(n, m) / (m+1)^k,
+L = alpha + beta, Kaneko's at (beta, L) = (0, 1) (_kaneko_numbers).  One row
+cache of at most _PB_ROWS_MAX rows, keyed by (k, beta, L), keeps each row with
+its stream: the polynomials are Appell sums over a row, the Bernoulli
+polynomials those of B_m = (-1)^m B_m^(1), and the numeric zeta coefficients
+B_n^(k)/n! read a stream that no row keeps.  Directly, the cached (0, 1)
+triangle gives the negative index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which
+counts lonesum (0,1)-matrices (lonesum_count() enumerates them two ways as its
+oracle), and symmetrized.sym_closed grows its own (P, Q) rows.  The literal
+double sum is a test oracle.
 """
 
 from __future__ import annotations
@@ -36,8 +39,11 @@ __all__ = [
 ]
 
 _ROW_LOCK = threading.RLock()
-_PB_ROWS: dict[int, tuple[list[Fraction], Iterator[Fraction]]] = {}  # k: row, its stream
-_STIRLING_WEIGHTS: list[tuple[int, ...]] = []  # n: (-1)^m m! S(n,m)
+# (k, beta, L): row of B_n^(k)(0; a, b), its stream; the oldest row goes once
+# _PB_ROWS_MAX are held (a CLI table touches at most 129 values of k).
+_PB_ROWS: dict[tuple, tuple[list[Fraction], Iterator[Fraction]]] = {}
+_PB_ROWS_MAX = 256
+_STIRLING_WEIGHTS: list[tuple[int, ...]] = []  # n: W_{0,1}(n, m) = (-1)^m m! S(n,m)
 _BERNOULLI_ROW: list[Fraction] = []
 
 
@@ -50,25 +56,29 @@ def _grown_row(row: list, n: int, entry: Callable[[int], Fraction]) -> list:
     return row
 
 
-def _next_stirling_weights(prev: tuple[int, ...]) -> tuple[int, ...]:
-    # w(n, m) = (-1)^m m! S(n, m) from row n - 1, by the Stirling recurrence:
-    # w(n, m) = m (w(n-1, m) - w(n-1, m-1)), w(n-1, n) = 0.
+def _next_weights(prev: tuple[int, ...], P: int = 0, Q: int = 1) -> tuple[int, ...]:
+    # W(n, m) = sum_j (-1)^j C(m,j) (P + jQ)^n from row n - 1:
+    # W(n, m) = (P + mQ) W(n-1, m) - mQ W(n-1, m-1), W(n-1, n) = 0.
     prev += (0,)
-    return (0,) + tuple(m * (prev[m] - prev[m - 1]) for m in range(1, len(prev)))
+    return tuple((P + m * Q) * w - m * Q * prev[m - 1] for m, w in enumerate(prev))
 
 
 def _stirling_weights(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n, at least, of the weights w(p, m) = (-1)^m m! S(p, m), m <= p."""
     rows = _STIRLING_WEIGHTS
-    return _grown_row(rows, n, lambda p: _next_stirling_weights(rows[p - 1]) if p else (1,))
+    return _grown_row(rows, n, lambda p: _next_weights(rows[p - 1]) if p else (1,))
 
 
-def _kaneko_numbers(k: int) -> Iterator[Fraction]:
-    """B_0^(k), B_1^(k), ... by the weight recurrence transposed onto
-    e_m = (m+1)^(-k): B_n^(k) = b(n, 0) with b(0, m) = e_m and
-    b(i, m) = (m+1) b(i-1, m+1) - m b(i-1, m).  After e_n, edge[i] holds the
-    anti-diagonal b(i, n-i), as integers over den = lcm(1..n+1)^k (1 when
-    k <= 0), so a number costs n products by small integers and one gcd."""
+def _kaneko_numbers(k: int, beta: Fraction = 0, L: Fraction = 1) -> Iterator[Fraction]:
+    """B_0^(k)(0; a, b), B_1^(k)(0; a, b), ... with beta = ln b, L = ln ab, by
+    the weight recurrence transposed onto e_m = (m+1)^(-k): B_n = b(n, 0) with
+    b(0, m) = e_m and b(i, m) = (m+1) L b(i-1, m+1) - (beta + mL) b(i-1, m).
+    beta and L run as integers over their common denominator D, so b(i, m)
+    carries D^i.  After e_n, edge[i] holds the anti-diagonal b(i, n-i), as
+    integers over den = lcm(1..n+1)^k (1 when k <= 0), so a number costs n
+    products by small integers and one gcd."""
+    D = math.lcm(Fraction(beta).denominator, Fraction(L).denominator)
+    beta, L = int(beta * D), int(L * D)
     edge: list[int] = []
     root = den = 1
     for n in itertools.count():
@@ -82,16 +92,22 @@ def _kaneko_numbers(k: int) -> Iterator[Fraction]:
         else:
             b = (n + 1) ** -k
         for i, prev in enumerate(edge, 1):
-            edge[i - 1], b = b, (n - i + 1) * b - (n - i) * prev
+            m = n - i
+            edge[i - 1], b = b, (m + 1) * L * b - (beta + m * L) * prev
         edge.append(b)
-        yield Fraction(b, den)
+        yield Fraction(b, den * D**n)
 
 
-def _pb_row(n: int, k: int) -> list[Fraction]:
-    """B_0^(k) .. B_n^(k) (the cached row may hold more entries)."""
+def _pb_row(n: int, k: int, beta: Fraction = 0, L: Fraction = 1) -> list[Fraction]:
+    """B_0^(k)(0; a, b) .. B_n^(k)(0; a, b), beta = ln b, L = ln ab; the
+    defaults give the classical row (the cached row may hold more entries)."""
     if n < 0:
         raise ValueError("poly-Bernoulli index n must be >= 0, got %d" % n)
-    row, numbers = _PB_ROWS.setdefault(k, ([], _kaneko_numbers(k)))
+    key = (k, beta, L)
+    with _ROW_LOCK:
+        if key not in _PB_ROWS and len(_PB_ROWS) >= _PB_ROWS_MAX:
+            del _PB_ROWS[next(iter(_PB_ROWS))]
+        row, numbers = _PB_ROWS.setdefault(key, ([], _kaneko_numbers(k, beta, L)))
     return _grown_row(row, n, lambda i: next(numbers))
 
 

@@ -7,9 +7,10 @@ gamma = ln c; alpha + beta != 0 always.  The defining explicit formula is
                        sum_{j=0}^{m} (-1)^j C(m,j) (x - j alpha - (j+1) beta)^n
 
 with the three-parameter variant substituting gamma*x for x.  It is computed
-as the Appell sum over the number row G_m = sum_i C(m,i) B_{m-i}^(k)
-L^(m-i) (-beta)^i, L = alpha + beta, mapped from the classical Kaneko row and
-cached per (k, alpha, beta); gamma scales x^i by gamma^i.  Everything else
+as the Appell sum over the numbers B_m^(k)(0; a, b), which core grows by its
+one weight recurrence in transposed form, b(i, m) = (m+1) L b(i-1, m+1)
+- (beta + mL) b(i-1, m) with L = alpha + beta, and keeps in its one bounded
+row cache under (k, beta, L); gamma scales x^i by gamma^i.  Everything else
 here (scaling from the classical polynomials, two recurrences, Appell
 derivative, addition/multiplication rules, generalized Bernoulli polynomials
 and the power-sum identity) is an alternative route to the same values, and
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import _ROW_LOCK, _appell, _grown_row, _pb_row, bernoulli_poly, pb_poly
+from .core import _appell, _pb_row, bernoulli_poly, pb_poly
 from .exact_arith import binomial
 from .polynomials import Poly1
 
@@ -83,46 +84,23 @@ class GPBPoly:
         return self
 
 
-_GPB_ROWS: dict[tuple, list[Fraction]] = {}  # (k, alpha, beta): row, oldest first
-_GPB_ROWS_MAX = 256  # a CLI table touches at most 129 values of k for one (alpha, beta)
-
-
-def _gpb_row(n: int, k: int, params: Params) -> list[Fraction]:
-    """B_0^(k)(a, b) .. B_n^(k)(a, b), mapped from the classical row; the
-    oldest cached row goes once _GPB_ROWS_MAX are held."""
-    key = (k, params.alpha, params.beta)
-    with _ROW_LOCK:
-        if key not in _GPB_ROWS and len(_GPB_ROWS) >= _GPB_ROWS_MAX:
-            del _GPB_ROWS[next(iter(_GPB_ROWS))]
-        row = _GPB_ROWS.setdefault(key, [])
-    L, minus_beta = params.log_sum, -params.beta
-    classical = _pb_row(n, k)
-
-    def entry(m: int) -> Fraction:
-        return sum(
-            binomial(m, i) * classical[m - i] * L ** (m - i) * minus_beta**i
-            for i in range(m + 1)
-        )
-
-    return _grown_row(row, n, entry)
-
-
 def gpb_explicit(n: int, k: int, params: Params) -> GPBPoly:
-    """B_n^(k)(x; a, b), any integer k: the Appell sum over the mapped number
-    row, equal to the explicit double sum."""
-    return GPBPoly(n, k, params, Poly1(_appell(_gpb_row(n, k, params), n)))
+    """B_n^(k)(x; a, b), any integer k: the Appell sum over core's number
+    row for (k, beta, alpha + beta), equal to the explicit double sum."""
+    row = _pb_row(n, k, params.beta, params.log_sum)
+    return GPBPoly(n, k, params, Poly1(_appell(row, n)))
 
 
 def gpb_explicit_c(n: int, k: int, params: Params) -> GPBPoly:
     """Three-parameter B_n^(k)(x; a, b, c): the two-parameter polynomial at
     gamma*x."""
-    coeffs = _appell(_gpb_row(n, k, params), n)
+    coeffs = _appell(_pb_row(n, k, params.beta, params.log_sum), n)
     return GPBPoly(n, k, params, Poly1([c * params.gamma**i for i, c in enumerate(coeffs)]))
 
 
 def gpb_number(n: int, k: int, params: Params) -> Fraction:
     """B_n^(k)(a, b) = B_n^(k)(0; a, b)."""
-    return _gpb_row(n, k, params)[n]
+    return _pb_row(n, k, params.beta, params.log_sum)[n]
 
 
 def scale_from_classical(n: int, k: int, params: Params) -> GPBPoly:

@@ -13,15 +13,17 @@ and Y = (y+alpha)/L is symmetric under (t,X) <-> (u,Y), which is what makes
 the duality C_n^(-m)(x,y) = C_m^(-n)(y,x) hold for every parameter choice.  A
 shift of y alone (keeping x un-normalized) satisfies no such symmetry; the
 tests keep a counterexample.  sym_closed, the closed form by Stirling numbers
-of the second kind, is the production route; sym_def (the defining sum) and
-sym_gf_oracle (the generating function) are its two independent oracles.
+of the second kind, is the production route: it grows core's one weight
+recurrence at the shift alpha/L and pairs the rows; sym_def (the defining
+sum) and sym_gf_oracle (the generating function) are its two independent
+oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import _stirling_weights
+from .core import _next_weights
 from .exact_arith import binomial
 from .generalized import Params, gpb_explicit
 from .polynomials import Poly1, Poly2
@@ -49,24 +51,22 @@ def sym_closed(n: int, m: int, params: Params) -> Poly2:
 
     sum_{a,b} C(n,a) C(m,b) D[n-a][m-b] X^a Y^b, X = (x+alpha)/L, Y = (y+alpha)/L
     (a (y-beta)/L anchor fails the definition), D[p][q] = sum_j w(p,j) w(q,j)
-    = sum_j (j!)^2 S(p,j) S(q,j) over core's weight rows.  With alpha/L = P/Q,
-    the integer row map D[p] <- sum_i C(p,i) P^i Q^(p-i) D[p-i] along each axis
-    takes D = W W^T to V V^T, V the mapped weight rows, and the x^a y^b
-    coefficient is C(n,a) C(m,b) (V V^T)[n-a][m-b] / (Q^(n-a+m-b) L^(a+b)).
+    = sum_j (j!)^2 S(p,j) S(q,j).  With alpha/L = P/Q, core's weight rows
+    V[p][j] = sum_l (-1)^l C(j,l) (P + lQ)^p = sum_i C(p,i) P^i Q^(p-i) w(p-i,j)
+    take the shift by alpha/L into D on both axes, and the x^a y^b coefficient
+    is C(n,a) C(m,b) (V V^T)[n-a][m-b] / (Q^(n-a+m-b) L^(a+b)).
     """
     if n < 0 or m < 0:
         raise ValueError("sym_closed expects n, m >= 0")
-    rows = _stirling_weights(max(n, m))
     P, Q = (params.alpha / params.log_sum).as_integer_ratio()
-    mapped = []
-    for p in range(max(n, m) + 1):
-        c = [binomial(p, i) * P**i * Q ** (p - i) for i in range(p + 1)]
-        mapped.append([sum(c[i] * rows[p - i][j] for i in range(p - j + 1)) for j in range(p + 1)])
+    rows = [(1,)]
+    for _ in range(max(n, m)):
+        rows.append(_next_weights(rows[-1], P, Q))
     num, den = params.log_sum.as_integer_ratio()
     coeffs = {}
     for a in range(n + 1):
         for b in range(m + 1):
-            gram = sum(u * v for u, v in zip(mapped[n - a], mapped[m - b]))
+            gram = sum(u * v for u, v in zip(rows[n - a], rows[m - b]))
             top = binomial(n, a) * binomial(m, b) * gram * den ** (a + b)
             coeffs[a, b] = Fraction(top, Q ** (n - a + m - b) * num ** (a + b))
     return Poly2(coeffs)

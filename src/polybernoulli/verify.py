@@ -241,12 +241,15 @@ def suite_core_recurrence(rng: random.Random, out: SuiteResult) -> None:
             core.pb_number_recurrence(n, k),
             core.pb_number(n, k),
         )
+    # At alpha = 1, beta = 0 the row is core's classical one, so the reduction is
+    # read against Li_k(1 - e^(-t)) e^(xt) / (1 - e^(-t)) at a fixed x.
     n = rng.randint(0, 8)
     k = rng.randint(-3, 4)
+    x0 = Fraction(1, 3)
     out.check(
-        f"classical reduction n={n}, k={k}",
-        _poly_str(generalized.gpb_explicit(n, k, Params(Fraction(1), Fraction(0))).poly),
-        _poly_str(core.pb_poly(n, k)),
+        f"classical reduction n={n}, k={k} at x={x0} vs generating function",
+        generalized.gpb_explicit(n, k, Params(Fraction(1), Fraction(0))).poly(x0),
+        polyseries.gf_kernel(k, 1, 0, x0, n + 1).coefficient(n) * math.factorial(n),
     )
     m = rng.randint(0, 10)
     out.check(

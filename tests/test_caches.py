@@ -1,6 +1,6 @@
-"""Package-wide cache policy: every functools cache and the generalized
-number rows have a finite bound, so a long-running process cannot grow one
-without limit."""
+"""Package-wide cache policy: every functools cache and core's number rows
+have a finite bound, so a long-running process cannot grow one without
+limit."""
 
 import importlib
 import inspect
@@ -8,7 +8,7 @@ import pkgutil
 from fractions import Fraction
 
 import polybernoulli
-from polybernoulli import Params, generalized, gpb_number
+from polybernoulli import Params, core, gpb_number
 
 from conftest import literal_double_sum
 
@@ -28,15 +28,15 @@ def test_every_functools_cache_is_bounded():
 
 
 def test_generalized_number_rows_are_bounded(monkeypatch):
-    # Three times the bound in distinct (k, alpha, beta): the cache keeps the
+    # Three times the bound in distinct (k, beta, alpha + beta): core keeps the
     # newest rows, and every value, whether its row was evicted or kept, still
     # equals the literal double sum.
-    monkeypatch.setattr(generalized, "_GPB_ROWS", {})
-    bound = generalized._GPB_ROWS_MAX
+    monkeypatch.setattr(core, "_PB_ROWS", {})
+    bound = core._PB_ROWS_MAX
     cases = [(i % 5 - 2, Params(Fraction(i + 1, 3), Fraction(1, 2))) for i in range(3 * bound)]
     for k, params in cases:
         gpb_number(3, k, params)
-    assert list(generalized._GPB_ROWS) == [(k, p.alpha, p.beta) for k, p in cases[-bound:]]
+    assert list(core._PB_ROWS) == [(k, p.beta, p.log_sum) for k, p in cases[-bound:]]
     for k, params in cases:
         assert gpb_number(3, k, params) == literal_double_sum(3, k, params)(0), (k, params)
-    assert len(generalized._GPB_ROWS) == bound
+    assert len(core._PB_ROWS) == bound

@@ -104,6 +104,25 @@ TABLE_GOLDEN_SHA256 = {
         "fe2a6768b2526d11d23c52b2d6aefd172b18ff1e83412eaf710d7838c5f993a8",
     "table --kind sym-poly --n 0:3 --m 0:3 --alpha 1000000/7 --beta 1/999999":
         "9f8cb8d0da71a28e3b684953de4b1f7de50666ea799385909cf8af8b777cd536",
+    "eval --kind gpb-poly --n 64 --k 3 --alpha 1/2 --beta 1/3 --x 1/2":
+        "b0524be3d55a3c9419ca1303fe5716dad0f818b3b9cb477fbb34590c168a188c",
+    "eval --kind gpb-poly --n 40 --k=-40 --alpha 1000000/7 --beta 1/999999 --x 5":
+        "b5298dbcf4209f6ce1464db18189e34ab061c1d75ae8f589c112fda5a144a624",
+    "eval --kind gpb-poly --n 24 --k 5 --alpha 1000000/7 --beta 1/999999 --x 3":
+        "36af181b9c6ab057a3da51eac0337e3dc14029b29a0796dc86aa9cd3b062fab4",
+    "table --kind gpb-poly --n 0:12 --k=-4:4 --alpha 1/2 --beta 1/3 --format csv":
+        "c2d703e2059cf0e058b80262b30c793e68306dfacb420a09425a68581552c829",
+    "eval --kind gpb-c-poly --n 24 --k=-7 --alpha 1000000/7 --beta 1/999999 --gamma 2/3 --x 1/3":
+        "9c98a7e0c94a60235c62c8d957aef06d6d4663b75f421a41597a20267155e3df",
+    "table --kind gpb-c-poly --n 0:8 --k=-3:3 --alpha 1/2 --beta 1/3 --gamma 2/3":
+        "0b50e33f48d81e07d18dae8d36d9c4a7ca8f2a7bb8a538ac1c1e7965c0911abe",
+    "table --kind gpb-poly --n 0:64 --k 62:64 --alpha 1000000/7 --beta 1/999999":
+        "66c1593db92521e939ed3c54868c86721606c486131cc59a4d2592d78de7dfde",
+    "table --kind sym-poly --n 0:6 --m 0:6 --alpha 1/2 --beta 1/3":
+        "bda181f46c75b68037132395b12c8127ac9aada9c59a56f33f33e333ecc56b33",
+    # alpha/L = -2/13: the symmetrized weight rows grow at a negative shift.
+    "table --kind sym-poly --n 0:8 --m 0:8 --alpha 1/3 --beta=-5/2":
+        "e2113fd08a38a90dfe2c9bd5896160a6145aee487167c6c84cc1b2066e4a033d",
 }
 
 

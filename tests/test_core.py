@@ -58,7 +58,7 @@ def test_number_row_grows_once_under_concurrent_readers():
     from polybernoulli import core
 
     k = 97  # beyond the CLI's index limit, so no other test grows this row
-    core._PB_ROWS.pop(k, None)
+    core._PB_ROWS.pop((k, 0, 1), None)
     tops = [39, 12, 30, 5, 39, 21, 8, 33]
     seen = {}
 
@@ -76,7 +76,7 @@ def test_number_row_grows_once_under_concurrent_readers():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old)
-    row = core._PB_ROWS[k][0]
+    row = core._PB_ROWS[(k, 0, 1)][0]
     assert len(row) == max(tops) + 1
     assert row == [kaneko_stirling_sum(n, k) for n in range(len(row))]
     for i, top in enumerate(tops):
@@ -218,15 +218,18 @@ def test_stirling_weights_match_stirling2(monkeypatch):
 
 
 def test_numbers_grow_no_stirling_row(monkeypatch):
-    # Numbers and the numeric zeta coefficients come from the Kaneko
-    # recurrence; only the two Stirling closed forms read the weight triangle.
-    from polybernoulli import zeta
+    # Numbers, the numeric zeta coefficients and the symmetrized closed form
+    # come from their own weight recurrences; only the negative-index closed
+    # form reads the cached Stirling triangle.
+    from polybernoulli import Params, sym_closed, zeta
 
     monkeypatch.setattr(core, "_STIRLING_WEIGHTS", [])
     for k in (1, 2, 7, 64, -3):
-        monkeypatch.delitem(core._PB_ROWS, k, raising=False)
+        monkeypatch.delitem(core._PB_ROWS, (k, 0, 1), raising=False)
         pb_number(40, k)
     zeta._gf_coefficients.__wrapped__(3, 204)
+    sym_closed(9, 7, Params(Fraction(1), Fraction(0)))
+    sym_closed(6, 8, Params(Fraction(1, 2), Fraction(1, 3)))
     assert core._STIRLING_WEIGHTS == []
     pb_number_neg_closed(5, 3)
     assert len(core._STIRLING_WEIGHTS) == 7
@@ -238,6 +241,42 @@ def test_kaneko_numbers_match_stirling_sum():
     for k in range(-64, 65):
         numbers = list(itertools.islice(core._kaneko_numbers(k), 65))
         assert numbers == [kaneko_stirling_sum(n, k) for n in range(65)], k
+
+
+def test_parametrized_kaneko_numbers_match_mapped_stirling_sum():
+    # B_m^(k)(0; a, b) = sum_i C(m,i) B_{m-i}^(k) L^(m-i) (-beta)^i over the
+    # classical Stirling-sum oracle, L = alpha + beta, for small and large
+    # parameters, beta = 0 and alpha + beta < 0.
+    cases = [
+        (Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(10**6, 7), Fraction(1, 999999)),
+        (Fraction(5, 3), Fraction(0)),
+        (Fraction(-3, 2), Fraction(5, 7)),
+    ]
+    for k in (-64, -7, 0, 1, 3, 64):
+        classical = [kaneko_stirling_sum(n, k) for n in range(65)]
+        for alpha, beta in cases:
+            L = alpha + beta
+            mapped = [
+                sum(comb(m, i) * classical[m - i] * L ** (m - i) * (-beta) ** i for i in range(m + 1))
+                for m in range(65)
+            ]
+            numbers = list(itertools.islice(core._kaneko_numbers(k, beta, L), 65))
+            assert numbers == mapped, (k, alpha, beta)
+
+
+def test_next_weights_match_literal_sum():
+    # W_{P,Q}(p, j) = sum_l (-1)^l C(j,l) (P + Ql)^p for j <= p, with P
+    # negative, zero and positive.
+    for P, Q in ((-7, 3), (0, 1), (0, 5), (2, 1), (11, 4)):
+        row = (1,)
+        for p in range(41):
+            literal = tuple(
+                sum((-1) ** l * comb(j, l) * (P + Q * l) ** p for l in range(j + 1))
+                for j in range(p + 1)
+            )
+            assert row == literal, (P, Q, p)
+            row = core._next_weights(row, P, Q)
 
 
 def test_pb_poly_k_zero_is_shifted_monomial():

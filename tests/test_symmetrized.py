@@ -5,11 +5,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polybernoulli import (
     Params,
     Poly1,
     duality_check,
+    gpb_explicit,
     pb_number,
     pb_poly,
     sym_closed,
@@ -17,7 +19,7 @@ from polybernoulli import (
     sym_gf_oracle,
 )
 
-from conftest import rand_params
+from conftest import literal_double_sum, rand_params
 
 CLASSICAL = Params(Fraction(1), Fraction(0))
 
@@ -57,6 +59,28 @@ def test_duality_exact():
             for m in range(6):
                 assert sym_def(n, m, params) == sym_def(m, n, params).swap_vars()
                 assert duality_check(n, m, params)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(
+    k=st.integers(-6, 6),
+    alpha=rationals,
+    beta=rationals,
+    n=st.integers(0, 5),
+    m=st.integers(0, 5),
+)
+def test_weight_recurrence_families_property(k, alpha, beta, n, m):
+    # Both forms of core's weight recurrence at drawn parameters: the number
+    # rows behind gpb_explicit, and the shifted rows behind sym_closed.
+    assume(alpha + beta != 0)
+    params = Params(alpha, beta)
+    assert gpb_explicit(n, k, params).poly == literal_double_sum(n, k, params), (n, k, params)
+    closed = sym_closed(n, m, params)
+    assert closed == sym_closed(m, n, params).swap_vars(), (n, m, params)
+    assert closed == sym_def(n, m, params), (n, m, params)
 
 
 def test_one_sided_shift_breaks_duality():
