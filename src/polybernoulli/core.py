@@ -10,17 +10,19 @@ L = alpha + beta, Kaneko's at (beta, L) = (0, 1) (_kaneko_numbers).  One row
 cache of at most _PB_ROWS_MAX rows, keyed by (k, beta, L), keeps each row with
 its stream: the polynomials are Appell sums over a row, the Bernoulli
 polynomials those of B_m = (-1)^m B_m^(1), and the numeric zeta coefficients
-B_n^(k)/n! read a stream that no row keeps.  Directly, the cached (0, 1)
-triangle gives the negative index sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), which
-counts lonesum (0,1)-matrices (lonesum_count() enumerates them two ways as its
-oracle), and symmetrized.sym_closed grows its own (P, Q) rows.  The literal
-double sum is a test oracle.
+B_n^(k)/n! read a stream that no row keeps.  Directly, the cached (1, 1)
+triangle gives the negative index as the Gram sum of two rows, which counts
+lonesum (0,1)-matrices (lonesum_count() enumerates them two ways as its
+oracle); one fresh W_{x+beta,L} row gives exact zeta at s = -n (_weight_sum),
+and symmetrized.sym_closed grows its own (P, Q) rows.  The literal double sum
+is a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -43,7 +45,7 @@ _ROW_LOCK = threading.RLock()
 # _PB_ROWS_MAX are held (a CLI table touches at most 129 values of k).
 _PB_ROWS: dict[tuple, tuple[list[Fraction], Iterator[Fraction]]] = {}
 _PB_ROWS_MAX = 256
-_STIRLING_WEIGHTS: list[tuple[int, ...]] = []  # n: W_{0,1}(n, m) = (-1)^m m! S(n,m)
+_UNIT_WEIGHTS: list[tuple[int, ...]] = []  # n: W_{1,1}(n, m) = (-1)^m m! S(n+1,m+1)
 _BERNOULLI_ROW: list[Fraction] = []
 
 
@@ -56,17 +58,30 @@ def _grown_row(row: list, n: int, entry: Callable[[int], Fraction]) -> list:
     return row
 
 
-def _next_weights(prev: tuple[int, ...], P: int = 0, Q: int = 1) -> tuple[int, ...]:
+def _next_weights(prev: tuple[int, ...], P: int, Q: int) -> tuple[int, ...]:
     # W(n, m) = sum_j (-1)^j C(m,j) (P + jQ)^n from row n - 1:
     # W(n, m) = (P + mQ) W(n-1, m) - mQ W(n-1, m-1), W(n-1, n) = 0.
     prev += (0,)
     return tuple((P + m * Q) * w - m * Q * prev[m - 1] for m, w in enumerate(prev))
 
 
-def _stirling_weights(n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n, at least, of the weights w(p, m) = (-1)^m m! S(p, m), m <= p."""
-    rows = _STIRLING_WEIGHTS
-    return _grown_row(rows, n, lambda p: _next_weights(rows[p - 1]) if p else (1,))
+def _unit_weights(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of W_{1,1}(p, m) = (-1)^m m! S(p+1, m+1), m <= p."""
+    rows = _UNIT_WEIGHTS
+    return _grown_row(rows, n, lambda p: _next_weights(rows[p - 1], 1, 1) if p else (1,))
+
+
+def _weight_sum(n: int, k: int, P: Fraction, Q: Fraction) -> Fraction:
+    """sum_{m<=n} W_{P,Q}(n, m) / (m+1)^k, exact: P and Q run as integers over
+    their common denominator D, and the sum over lcm(1..n+1)^max(k,0) D^n."""
+    D = math.lcm(Fraction(P).denominator, Fraction(Q).denominator)
+    P, Q = int(P * D), int(Q * D)
+    row: tuple[int, ...] = (1,)
+    for _ in range(n):
+        row = _next_weights(row, P, Q)
+    den = math.lcm(*range(1, n + 2)) ** max(k, 0)
+    total = sum(w * (den // (m + 1) ** k if k > 0 else (m + 1) ** -k) for m, w in enumerate(row))
+    return Fraction(total, den * D**n)
 
 
 def _kaneko_numbers(k: int, beta: Fraction = 0, L: Fraction = 1) -> Iterator[Fraction]:
@@ -127,13 +142,12 @@ def pb_number(n: int, k: int) -> Fraction:
 
 
 def pb_number_neg_closed(n: int, k: int) -> int:
-    """B_n^(-k) for n, k >= 0: sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), read off
-    the weight rows as sum_{j>=1} w(n+1, j) w(k+1, j) / j^2."""
+    """B_n^(-k) for n, k >= 0: sum_j (j!)^2 S(n+1,j+1) S(k+1,j+1), the Gram
+    sum sum_m W_{1,1}(n, m) W_{1,1}(k, m) of two cached weight rows."""
     if n < 0 or k < 0:
         raise ValueError("pb_number_neg_closed expects n, k >= 0")
-    rows = _stirling_weights(max(n, k) + 1)
-    pairs = zip(rows[n + 1][1:], rows[k + 1][1:])
-    return sum(a * b // (j * j) for j, (a, b) in enumerate(pairs, 1))
+    rows = _unit_weights(max(n, k))
+    return sum(map(operator.mul, rows[n], rows[k]))
 
 
 def pb_number_recurrence(n: int, k: int) -> Fraction:

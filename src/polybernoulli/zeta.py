@@ -32,10 +32,11 @@ other:
   xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
 At s = -n the series truncates exactly and xi interpolates the polynomials:
-xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b).  The exact-mode entry points
-(xi_exact_neg, difference_exact and the right side of raabe_poly) are one
-literal truncated series in rational arithmetic, summed by _shifted_sum, and
-stay independent of the Kaneko number rows behind the polynomial families.
+xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b).  Its inner sum is core's weight
+W_{x+beta,L}(n, m), so xi_exact_neg sums one weight row against (m+1)^(-k),
+apart from the Kaneko number rows of the polynomials.  _shifted_sum, the
+literal truncated series in rationals, is its oracle and the body of
+difference_exact and of raabe_poly's right side.
 
 The Hurwitz zeta oracle (direct summation plus Euler-Maclaurin tail with
 exact Bernoulli numbers) is implemented here rather than borrowed, because it
@@ -58,7 +59,7 @@ from typing import NamedTuple
 from mpmath import mp
 from mpmath.libmp import to_fixed, to_rational
 
-from .core import _kaneko_numbers, bernoulli_numbers
+from .core import _kaneko_numbers, _weight_sum, bernoulli_numbers
 from .exact_arith import binomial, inv_int_pow
 from .generalized import Params, gpb_explicit
 
@@ -599,8 +600,8 @@ def _shifted_sum(
     k: int, params: Params, x: Fraction, m_top: int, step: int, power: int
 ) -> Fraction:
     """sum_{m=0}^{m_top} (m+1)^(-k) sum_{j=0}^{m+step} (-1)^j C(m+step, j)
-    (x + j alpha + (j+1) beta)^power, exact: the truncated series behind
-    every exact-mode entry point."""
+    (x + j alpha + (j+1) beta)^power, exact: the literal truncated series
+    behind difference_exact and raabe_poly, and the oracle of xi_exact_neg."""
     x = Fraction(x)
     acc = Fraction(0)
     for m in range(m_top + 1):
@@ -613,13 +614,11 @@ def _shifted_sum(
 
 
 def xi_exact_neg(k: int, n: int, params: Params, x: Fraction) -> Fraction:
-    """xi_k(-n, x; a, b), exact: the series truncates at m = n.
-
-    Equals (-1)^n B_n^(k)(-x; a, b).
-    """
+    """xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b), exact: the series
+    truncates at m = n, and its inner sum is the weight W_{x+beta,L}(n, m)."""
     if n < 0:
         raise ValueError("xi_exact_neg expects n >= 0")
-    return _shifted_sum(k, params, x, n, 0, n)
+    return _weight_sum(n, k, Fraction(x) + params.beta, params.log_sum)
 
 
 def difference_exact(k: int, n: int, params: Params, x: Fraction) -> Fraction:

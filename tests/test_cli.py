@@ -123,6 +123,13 @@ TABLE_GOLDEN_SHA256 = {
     # alpha/L = -2/13: the symmetrized weight rows grow at a negative shift.
     "table --kind sym-poly --n 0:8 --m 0:8 --alpha 1/3 --beta=-5/2":
         "e2113fd08a38a90dfe2c9bd5896160a6145aee487167c6c84cc1b2066e4a033d",
+    # Exact zeta at s = -n, as printed by the literal truncated series.
+    "eval --kind zeta --k 2 --s=-64 --x 1/2 --alpha 1/2 --beta 1/3":
+        "288e2ebe8d5f79236865b3ac7e7718bb5106fa1f0fc8a5d66c6c485588e8b29d",
+    "eval --kind zeta --k=-3 --s=-20 --x 7 --alpha 1000000/7 --beta 1/999999":
+        "901f458e4aca4974e267798820ae44cf415a3f056005da1ac4ea64f14ae2b602",
+    "eval --kind zeta --k 64 --s=-64 --x 1/2 --alpha 1000000/7 --beta 1/999999":
+        "aadf45a9e1eb1d3c382806279460731b7f64f544a4f7e635e5888988d695bbc0",
 }
 
 

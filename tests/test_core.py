@@ -206,33 +206,44 @@ def test_bernoulli_row_grows_against_bernfrac(monkeypatch):
 
 
 def test_stirling_weights_match_stirling2(monkeypatch):
-    # The weight rows grow by the Stirling recurrence; asked out of order from
-    # an empty triangle, every row up to n = 64 is (-1)^m m! S(n, m).
-    monkeypatch.setattr(core, "_STIRLING_WEIGHTS", [])
+    # The cached rows grow by the weight recurrence at P = Q = 1; asked out of
+    # order from an empty triangle, every row up to n = 64 is
+    # (-1)^m m! S(n+1, m+1).
+    monkeypatch.setattr(core, "_UNIT_WEIGHTS", [])
     for n in (40, 3, 64, 0, 41):
-        core._stirling_weights(n)
-    rows = core._STIRLING_WEIGHTS
+        core._unit_weights(n)
+    rows = core._UNIT_WEIGHTS
     assert len(rows) == 65
     for n, row in enumerate(rows):
-        assert row == tuple((-1) ** m * factorial(m) * stirling2(n, m) for m in range(n + 1)), n
+        want = tuple((-1) ** m * factorial(m) * stirling2(n + 1, m + 1) for m in range(n + 1))
+        assert row == want, n
 
 
 def test_numbers_grow_no_stirling_row(monkeypatch):
-    # Numbers, the numeric zeta coefficients and the symmetrized closed form
-    # come from their own weight recurrences; only the negative-index closed
-    # form reads the cached Stirling triangle.
-    from polybernoulli import Params, sym_closed, zeta
+    # Numbers, the numeric zeta coefficients, the symmetrized closed form and
+    # exact zeta at s = -n come from their own weight recurrences; only the
+    # negative-index closed form reads the cached triangle, rows 0..max(n, k).
+    from polybernoulli import Params, sym_closed, xi_exact_neg, zeta
 
-    monkeypatch.setattr(core, "_STIRLING_WEIGHTS", [])
+    monkeypatch.setattr(core, "_UNIT_WEIGHTS", [])
     for k in (1, 2, 7, 64, -3):
         monkeypatch.delitem(core._PB_ROWS, (k, 0, 1), raising=False)
         pb_number(40, k)
     zeta._gf_coefficients.__wrapped__(3, 204)
     sym_closed(9, 7, Params(Fraction(1), Fraction(0)))
     sym_closed(6, 8, Params(Fraction(1, 2), Fraction(1, 3)))
-    assert core._STIRLING_WEIGHTS == []
+    xi_exact_neg(5, 12, Params(Fraction(1, 2), Fraction(1, 3)), Fraction(1, 2))
+    assert core._UNIT_WEIGHTS == []
     pb_number_neg_closed(5, 3)
-    assert len(core._STIRLING_WEIGHTS) == 7
+    assert len(core._UNIT_WEIGHTS) == 6
+
+
+def test_negative_index_closed_form_matches_kaneko_rows():
+    # The Gram sum of weight rows against the Kaneko recurrence over every
+    # (n, k) the CLI accepts: a second oracle beside lonesum_count.
+    for k in range(65):
+        for n in range(65):
+            assert pb_number_neg_closed(n, k) == pb_number(n, -k), (n, k)
 
 
 def test_kaneko_numbers_match_stirling_sum():

@@ -21,6 +21,7 @@ from polybernoulli import (
     NumericResult,
     Params,
     ZetaQuery,
+    core,
     difference_exact,
     difference_series,
     gpb_explicit,
@@ -41,6 +42,7 @@ from polybernoulli.zeta import (
     _gf_coefficients,
     _polylog_ratio,
     _quadrature_kernel,
+    _shifted_sum,
 )
 
 from conftest import rand_params, rand_rat
@@ -212,6 +214,32 @@ def test_interpolation_at_negative_integers():
                 got = xi_exact_neg(k, n, params, x)
                 want = (-1) ** n * gpb_explicit(n, k, params).poly(-x)
                 assert got == want, (n, k)
+
+
+def test_xi_exact_neg_matches_literal_sum_and_rows():
+    # The weight-row sum against the literal truncated series and against
+    # the polynomial rows, over k of both signs, beta = 0 and negative L; the
+    # sum reads no row of core's number cache.
+    LARGE = Params(Fraction(10**6, 7), Fraction(1, 999999))
+    param_sets = [
+        Params(Fraction(1, 2), Fraction(1, 3)),
+        LARGE,
+        Params(Fraction(5, 3), Fraction(0)),
+        Params(Fraction(-3, 2), Fraction(5, 7)),
+    ]
+    rows_before = dict(core._PB_ROWS)
+    for params in param_sets:
+        for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 3), Fraction(10**6, 7)):
+            for k in (-64, -7, 0, 1, 2, 64):
+                for n in (0, 1, 2, 3, 5, 8, 13, 17):
+                    got = xi_exact_neg(k, n, params, x)
+                    assert got == _shifted_sum(k, params, x, n, 0, n), (params, x, k, n)
+    assert core._PB_ROWS == rows_before
+    x = Fraction(1, 2)
+    got = xi_exact_neg(64, 64, LARGE, x)
+    assert core._PB_ROWS == rows_before
+    assert got == _shifted_sum(64, LARGE, x, 64, 0, 64)
+    assert got == gpb_explicit(64, 64, LARGE).poly(-x)
 
 
 def test_difference_exact_matches_two_evaluations():
