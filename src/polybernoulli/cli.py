@@ -30,15 +30,7 @@ from .core import pb_number, pb_number_neg_closed
 from .exact_arith import format_rat, parse_rat
 from .generalized import Params, gpb_explicit, gpb_explicit_c
 from .symmetrized import sym_closed
-from .zeta import (
-    NonConvergenceError,
-    ToleranceError,
-    ZetaQuery,
-    xi_exact_neg,
-    xi_quadrature,
-    xi_reduced,
-    xi_series,
-)
+from .zeta import ROUTES, NonConvergenceError, ToleranceError, ZetaQuery, xi_exact_neg
 
 MAX_INDEX = 64
 # Output values per table: 1 per number, n+1 per gpb-* entry, (n+1)(m+1) per
@@ -266,10 +258,7 @@ def cmd_eval(args) -> tuple[int, str]:
                 precision=precision,
                 max_terms=args.max_terms,
             )
-            route = {"series": xi_series, "reduced": xi_reduced, "quadrature": xi_quadrature}[
-                args.route
-            ]
-            res = route(query)
+            res = ROUTES[args.route](query)
         except ValueError as exc:
             raise BadRequestError(str(exc))
         digits = max(4, int(precision * 0.30103) + 2)
@@ -374,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gamma", type=_parse_rat_arg, default=Fraction(1))
     ev.add_argument("--precision", type=int, default=None, metavar="BITS")
     ev.add_argument("--max-terms", type=int, default=4096)
-    ev.add_argument("--route", choices=["series", "reduced", "quadrature"], default="series")
+    ev.add_argument("--route", choices=list(ROUTES), default=next(iter(ROUTES)))
     ev.add_argument("--format", choices=["json", "text"], default="json")
     ev.add_argument("--out", default=None, metavar="FILE")
     ev.set_defaults(func=cmd_eval)

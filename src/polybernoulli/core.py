@@ -14,7 +14,8 @@ B_n^(k)/n! read a stream that no row keeps.  Directly, the cached (1, 1)
 triangle gives the negative index as the Gram sum of two rows, which counts
 lonesum (0,1)-matrices (lonesum_count() enumerates them two ways as its
 oracle); one fresh W_{x+beta,L} row gives exact zeta at s = -n (_weight_sum),
-and symmetrized.sym_closed grows its own (P, Q) rows.  The literal double sum
+and read from column 1 its difference and mean-value identities;
+symmetrized.sym_closed grows its own (P, Q) rows.  The literal double sum
 is a test oracle.
 """
 
@@ -71,16 +72,18 @@ def _unit_weights(n: int) -> list[tuple[int, ...]]:
     return _grown_row(rows, n, lambda p: _next_weights(rows[p - 1], 1, 1) if p else (1,))
 
 
-def _weight_sum(n: int, k: int, P: Fraction, Q: Fraction) -> Fraction:
-    """sum_{m<=n} W_{P,Q}(n, m) / (m+1)^k, exact: P and Q run as integers over
-    their common denominator D, and the sum over lcm(1..n+1)^max(k,0) D^n."""
+def _weight_sum(n: int, k: int, P: Fraction, Q: Fraction, shift: int = 0) -> Fraction:
+    """sum_{m<=n-shift} W_{P,Q}(n, m+shift) / (m+1)^k, exact: P and Q run as
+    integers over their common denominator D, and the sum over
+    lcm(1..n+1)^max(k,0) D^n."""
     D = math.lcm(Fraction(P).denominator, Fraction(Q).denominator)
     P, Q = int(P * D), int(Q * D)
     row: tuple[int, ...] = (1,)
     for _ in range(n):
         row = _next_weights(row, P, Q)
     den = math.lcm(*range(1, n + 2)) ** max(k, 0)
-    total = sum(w * (den // (m + 1) ** k if k > 0 else (m + 1) ** -k) for m, w in enumerate(row))
+    weights = enumerate(row[shift:])
+    total = sum(w * (den // (m + 1) ** k if k > 0 else (m + 1) ** -k) for m, w in weights)
     return Fraction(total, den * D**n)
 
 

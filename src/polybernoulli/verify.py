@@ -421,23 +421,16 @@ def _seeded_query(rng: random.Random, precision=96) -> zeta.ZetaQuery:
 @_suite("zeta-numeric", "ZE2", "ZE3", "ZE6", "ZE7")
 def suite_zeta_numeric(rng: random.Random, out: SuiteResult) -> None:
     q = _seeded_query(rng)
-    a = zeta.xi_series(q)
-    b = zeta.xi_reduced(q)
-    c = zeta.xi_quadrature(q)
+    (first, a), *others = [(name, route(q)) for name, route in zeta.ROUTES.items()]
     with mp.workprec(q.precision + 16):
         tol = abs(a.value) * mp.mpf(1e-10)
-        out.check(
-            f"series vs reduced at {q.k},{q.s},{q.x}",
-            mp.nstr(a.value, 25),
-            mp.nstr(b.value, 25),
-            ok=abs(a.value - b.value) <= tol,
-        )
-        out.check(
-            f"series vs quadrature at {q.k},{q.s},{q.x}",
-            mp.nstr(a.value, 25),
-            mp.nstr(c.value, 25),
-            ok=abs(a.value - c.value) <= tol,
-        )
+        for name, b in others:
+            out.check(
+                f"{first} vs {name} at {q.k},{q.s},{q.x}",
+                mp.nstr(a.value, 25),
+                mp.nstr(b.value, 25),
+                ok=abs(a.value - b.value) <= tol,
+            )
     q1 = zeta.ZetaQuery(k=1, s=q.s, x=q.x, params=q.params, precision=q.precision)
     r1 = zeta.xi_series(q1)
     y = (q1.x + q1.params.beta) / q1.params.log_sum

@@ -3,40 +3,39 @@
     xi_k(s, x; a, b) = (1/Gamma(s)) * integral_0^inf
         Li_k(1 - (ab)^(-t)) e^(-xt) t^(s-1) / (b^t - a^(-t)) dt
 
-for integer k, with ln-parameters alpha = ln a, beta = ln b.  Three numeric
-routes are implemented and kept independent so they can cross-check each
-other:
+for integer k, with ln-parameters alpha = ln a, beta = ln b, L = alpha + beta.
+By the paper's interpolation formula xi_k(s, x; a, b) = L^(-s) xi_k(s, y),
+y = (x+beta)/L, every series entry point reads one series in y.  ROUTES
+names the numeric routes; the series and the quadrature check each other:
 
-* xi_series sums the expanded form
-  sum_n (n+1)^(-k) sum_j (-1)^j C(n,j) (x + j alpha + (j+1) beta)^(-s).
-  The outer terms decay like n^(-(k + (x+beta)/(alpha+beta))) so this route is
-  fast only when (x+beta)/(alpha+beta) is comfortably large.  The inner sum
-  is the n-th difference of f(j) = (x + j alpha + (j+1) beta)^(-s); the
-  engine keeps the running edge of that difference table as integers at the
-  fixed scale 2^-(wp + e - f0_bits), so outer term n costs one new power and
-  n exact integer subtractions.  The differences lose about n bits to
+* xi_series and xi_reduced sum the expanded form
+  sum_n (n+1)^(-k) sum_j (-1)^j C(n,j) (x + j alpha + (j+1) beta)^(-s)
+  as L^(-s) times the series in f(j) = (y + j)^(-s), and differ only in
+  where the stop falls (_scaled_series).  The outer terms decay like
+  n^(-(k + y)), so both are fast only when y is comfortably large.  The
+  inner sum is the n-th difference of f; the engine keeps the running edge
+  of that difference table as integers at the fixed scale
+  2^-(wp + e - f0_bits), so outer term n costs one new power and n exact
+  integer subtractions.  The differences lose about n bits to
   cancellation, which the engine provisions for by restarting at a higher
   working precision; its rounding bound, (n+2)(d+2) 2^(d + f0_bits - wp) for
   n + 1 terms up to difference order d with |f| <= 2^f0_bits, is derived at
   _difference_series_sum.
 * xi_quadrature integrates the defining integral directly (tanh-sinh on
   [0, t0, 1] plus [1, T] with an explicit exponential tail bound at the
-  cutoff T).  With L = alpha + beta and z = 1 - e^(-Lt) the denominator
+  cutoff T).  With z = 1 - e^(-Lt) the denominator
   e^(beta t) - e^(-alpha t) is e^(beta t) z, so the integrand is
   R_k(Lt) exp((s-1) ln t - (x+beta) t) with R_k(v) = Li_k(z)/z.  For k >= 2
   and v <= ln 2, R_k is the paper's generating function sum_n B_n^(k) v^n/n!,
   its numbers streamed from core's Kaneko recurrence, and a node takes one
   exponential; beyond, Li_k is expanded around z = 1; each is one integer
   sum over a list cached per (k, working precision).
-* xi_reduced rescales the classical (alpha=1, beta=0) series:
-  xi_k(s, x; a, b) = L^(-s) xi_k(s, (x+beta)/L).
 
 At s = -n the series truncates exactly and xi interpolates the polynomials:
 xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b).  Its inner sum is core's weight
 W_{x+beta,L}(n, m), so xi_exact_neg sums one weight row against (m+1)^(-k),
-apart from the Kaneko number rows of the polynomials.  _shifted_sum, the
-literal truncated series in rationals, is its oracle and the body of
-difference_exact and of raabe_poly's right side.
+apart from the Kaneko number rows of the polynomials; the exact difference
+and mean-value identities read W(n, m+1).  The literal series is their oracle.
 
 The Hurwitz zeta oracle (direct summation plus Euler-Maclaurin tail with
 exact Bernoulli numbers) is implemented here rather than borrowed, because it
@@ -60,11 +59,11 @@ from mpmath import mp
 from mpmath.libmp import to_fixed, to_rational
 
 from .core import _kaneko_numbers, _weight_sum, bernoulli_numbers
-from .exact_arith import binomial, inv_int_pow
 from .generalized import Params, gpb_explicit
 
 __all__ = [
     "GUARD_BITS",
+    "ROUTES",
     "NonConvergenceError",
     "ToleranceError",
     "NumericResult",
@@ -333,49 +332,49 @@ def polylog_on_kernel(k: int, v) -> "mp.mpf":
 
 
 # ---------------------------------------------------------------------------
-# The shared series engine.
+# The shared series engine, over the reduced argument y = (x+beta)/L.
 
-def _difference_series_sum(query: ZetaQuery, shift: int = 0, x=None) -> NumericResult:
+def _difference_series_sum(
+    k: int, s: Fraction, y: Fraction, precision: int, max_terms: int, shift: int, threshold
+) -> NumericResult:
     """sum_{m>=0} (m+1)^(-k) sum_{j=0}^{m+d} (-1)^j C(m+d, j) f(j)
-    with d = shift, f(j) = base_j^(-s) and base_j = x + j alpha + (j+1) beta,
-    k, s, x, alpha, beta and the precision taken from the query.
+    with d = shift and f(j) = (y + j)^(-s), for rational y > 0 and s > 0.
 
     The inner sum at d = m + shift is the d-th difference g_d(0) of the
     table g_0 = f, g_i(j) = g_(i-1)(j) - g_(i-1)(j+1); `edge` keeps its
     anti-diagonal g_i(d-i), so each outer term costs one power and d
     subtractions.  Stops at the first index where three consecutive outer
-    terms fall below 2^-(precision+8) in absolute value; raises
-    NonConvergenceError when max_terms is hit first.  x, when given, replaces
-    the query's, and may be an mpf (raabe_numeric integrates over it).
+    terms fall below `threshold` in absolute value; raises
+    NonConvergenceError, its last_term in the units of this sum, when
+    max_terms is hit first.
 
     The differences cancel about d bits, so the working precision carries a
     cancellation budget; once d would exceed it the sum restarts from the
     first term at a larger budget.  The reported error adds a power-law tail
     fit to a rounding bound in units u_d = 2^(d + f0_bits - wp), |f| <=
-    2^f0_bits.  The loop runs e = 4 + bitlen(ceil s) bits above wp, where each
-    f(j), with at most two base roundings (s units each), one power rounding
-    and its truncation to the integer scale 2^-(wp + e - f0_bits), is off by
-    at most (2s + 2) 2^(f0_bits - wp - e) <= u_0/4.  The integer differences
-    are exact, so g_d, |g_d| <= 2^(d + f0_bits), is off by at most u_d/4; its
-    conversion, division by (m+1)^k and addition to a total below
-    2^(d+1+f0_bits) add 1 + 1 + 2 units.  n + 1 terms up to d = n + shift,
-    n >= 2 at the stop, carry at most 4.25 (n+1) u_d <= (n+2)(d+2) u_d: the
-    bound of the former mpf table (entry i carried (i+1) units), now looser.
+    2^f0_bits.  The loop runs e = 4 + bitlen(ceil s) bits above wp.  With
+    lam = max(|ln y|, ln(y + d)), each f(j) is off by at most
+    s (1 + lam) + 3 units of 2^(f0_bits - wp - e): y + j rounds once (s
+    units); s rounds once (s lam units, none for a dyadic s); the power takes
+    its logarithm 10 bits sharper (s lam 2^-10 units) and rounds (2 units);
+    the truncation to the integer scale 2^-(wp + e - f0_bits) adds 1.  The
+    integer differences are exact, so g_d, |g_d| <= 2^(d + f0_bits), is off
+    by at most (lam + 3) u_d / 16; its conversion, division by (m+1)^k and
+    addition to a total below 2^(d+1+f0_bits) add 1 + 1 + 2 units.  As u_d
+    doubles with d, the n + 1 terms up to d = n + shift, n >= 2 at the
+    stop, carry less than 2 (4 + (lam + 3)/16) u_d <= 16 u_d <=
+    (n+2)(d+2) u_d for lam <= 61: the bound of the former mpf table (entry
+    i carried (i+1) units), now looser.
     """
-    k, s, precision, max_terms = query.k, query.s, query.precision, query.max_terms
-    alpha, beta = query.params.alpha, query.params.beta
-    x = query.x if x is None else x
-    threshold = mp.ldexp(1, -(precision + 8))
     cancel_budget = 96
     extra = 4 + math.ceil(s).bit_length()
     while True:
         wp = precision + GUARD_BITS + 24 + cancel_budget
         with mp.workprec(wp + extra):
             neg_s = -_rat_mpf(s)
-            # x + ... stays a Fraction, rounded once by mp.convert, when x is
-            # rational; f decreases in j, so f(0) bounds it.  top_d is the
-            # largest difference order the cancellation budget covers.
-            f0_bits = mp.mag(mp.convert(x + beta) ** neg_s)
+            # f decreases in j, so f(0) bounds it.  top_d is the largest
+            # difference order the cancellation budget covers.
+            f0_bits = mp.mag(mp.convert(y) ** neg_s)
             top_d = cancel_budget + GUARD_BITS - 40 - max(f0_bits, 0)
             scale = wp + extra - f0_bits  # edge entries are integers at 2^-scale
             edge: list[int] = []
@@ -386,7 +385,7 @@ def _difference_series_sum(query: ZetaQuery, shift: int = 0, x=None) -> NumericR
                 m = d - shift
                 if m >= 0 and d > top_d:
                     break
-                f = mp.convert(x + (d * alpha + (d + 1) * beta)) ** neg_s
+                f = mp.convert(y + d) ** neg_s
                 g = to_fixed(f._mpf_, scale)
                 for i, e in enumerate(edge):
                     edge[i], g = g, e - g
@@ -408,6 +407,37 @@ def _difference_series_sum(query: ZetaQuery, shift: int = 0, x=None) -> NumericR
                     last_term=recent.get(max_terms - 1),
                 )
         cancel_budget = max(2 * (d + max(f0_bits, 0)) + 80, 2 * cancel_budget)
+
+
+def _scaled_series(query: ZetaQuery, shift: int = 0, stop_in_y: bool = False) -> NumericResult:
+    """L^(-s) times the engine's sum, at shift, over y = (x+beta)/L.  The
+    engine stops on its own terms below 2^-(p+8) when stop_in_y, else on the
+    scaled ones below it, that is on its own below 2^-(p+8) L^s.
+
+    This runs at wp = p + 48 bits.  L^(-s) is taken at wp + g bits, 2^g > 4N,
+    N = ceil(s) (|l| + 4), l = bitlen(num L) - bitlen(den L), so that
+    |ln L| < (|l| + 1) ln 2; there L rounds (s units after the power), s
+    rounds (s |ln L|), the power's logarithm is 10 bits sharper
+    (s |ln L| 2^-10) and its exponential rounds (2): fewer than N units, so
+    L^(-s) is within 2^-(wp+2) relative.  The product rounds once, so value
+    is within |value| 2^-(wp-1) of L^(-s) times the sum; the error adds
+    |value| 2^-(wp-2), which also covers the rounding of the scaled engine
+    error while that stays below |value|.
+    """
+    p, s, L = query.precision, query.s, query.params.log_sum
+    wp = p + GUARD_BITS + 16
+    N = math.ceil(s) * (abs(L.numerator.bit_length() - L.denominator.bit_length()) + 4)
+    with mp.workprec(wp + N.bit_length() + 2):
+        scale = _rat_mpf(L) ** -_rat_mpf(s)
+    with mp.workprec(wp):
+        threshold = mp.ldexp(1, -(p + 8))
+        if not stop_in_y:
+            threshold /= scale
+        y = (query.x + query.params.beta) / L
+        res = _difference_series_sum(query.k, s, y, p, query.max_terms, shift, threshold)
+        value = res.value * scale
+        error = res.error * scale + abs(value) * mp.ldexp(1, -(wp - 2))
+        return NumericResult(value, error, res.terms)
 
 
 def _tail_fit(recent: dict, n_stop: int, threshold):
@@ -432,24 +462,17 @@ def _tail_fit(recent: dict, n_stop: int, threshold):
 # Public numeric routes.
 
 def xi_series(query: ZetaQuery) -> NumericResult:
-    """Direct summation of the expanded series."""
+    """Direct summation of the expanded series, stopped on its own terms."""
     query.require_numeric()
     if query.params.beta <= 0:
         raise ValueError("xi_series needs beta > 0 (xi_reduced covers beta = 0)")
-    return _difference_series_sum(query)
+    return _scaled_series(query)
 
 
 def xi_reduced(query: ZetaQuery) -> NumericResult:
-    """L^(-s) times the classical series at the reduced argument (x+beta)/L."""
+    """L^(-s) times the classical series at y = (x+beta)/L, stopped on its terms."""
     query.require_numeric()
-    L = query.params.log_sum
-    y = (query.x + query.params.beta) / L
-    res = _difference_series_sum(replace(query, x=y, params=Params(1, 0)))
-    with mp.workprec(query.precision + GUARD_BITS + 16):
-        scale = _rat_mpf(L) ** (-_rat_mpf(query.s))
-        value = res.value * scale
-        error = res.error * scale + abs(value) * mp.ldexp(1, -(query.precision + GUARD_BITS))
-        return NumericResult(value, error, res.terms)
+    return _scaled_series(query, stop_in_y=True)
 
 
 def _integral_tail_bound(k, s_m, x_m, alpha_m, beta_m, L_m, T):
@@ -593,25 +616,13 @@ def xi_quadrature(query: ZetaQuery) -> NumericResult:
         return NumericResult(value, error, 0)
 
 
+# The numeric routes by name: the CLI's --route choices, the first its
+# default, and verify's ZE2 checks each later route against the first.
+ROUTES = {"series": xi_series, "reduced": xi_reduced, "quadrature": xi_quadrature}
+
+
 # ---------------------------------------------------------------------------
 # Exact (negative-integer s) entry points.
-
-def _shifted_sum(
-    k: int, params: Params, x: Fraction, m_top: int, step: int, power: int
-) -> Fraction:
-    """sum_{m=0}^{m_top} (m+1)^(-k) sum_{j=0}^{m+step} (-1)^j C(m+step, j)
-    (x + j alpha + (j+1) beta)^power, exact: the literal truncated series
-    behind difference_exact and raabe_poly, and the oracle of xi_exact_neg."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for m in range(m_top + 1):
-        inner = Fraction(0)
-        for j in range(m + step + 1):
-            base = x + j * params.alpha + (j + 1) * params.beta
-            inner += (-1) ** j * binomial(m + step, j) * base**power
-        acc += inv_int_pow(m + 1, k) * inner
-    return acc
-
 
 def xi_exact_neg(k: int, n: int, params: Params, x: Fraction) -> Fraction:
     """xi_k(-n, x; a, b) = (-1)^n B_n^(k)(-x; a, b), exact: the series
@@ -622,17 +633,19 @@ def xi_exact_neg(k: int, n: int, params: Params, x: Fraction) -> Fraction:
 
 
 def difference_exact(k: int, n: int, params: Params, x: Fraction) -> Fraction:
-    """xi_k(-n, x + alpha + beta) - xi_k(-n, x), exact: truncates at m = n-1."""
+    """xi_k(-n, x + alpha + beta) - xi_k(-n, x), exact: the one-step-higher
+    difference series, which truncates at m = n-1 with inner sums
+    W_{x+beta,L}(n, m+1)."""
     if n < 0:
         raise ValueError("difference_exact expects n >= 0")
-    return -_shifted_sum(k, params, x, n - 1, 1, n)
+    return -_weight_sum(n, k, Fraction(x) + params.beta, params.log_sum, 1)
 
 
 def difference_series(query: ZetaQuery) -> NumericResult:
     """Numeric xi_k(s, x+alpha+beta) - xi_k(s, x) via the one-step-higher
     difference series (same stopping rule as xi_series)."""
     query.require_numeric()
-    res = _difference_series_sum(query, 1)
+    res = _scaled_series(query, 1)
     return NumericResult(-res.value, res.error, res.terms)
 
 
@@ -641,7 +654,8 @@ def raabe_poly(n: int, k: int, params: Params, x: Fraction) -> tuple[Fraction, F
 
     Left: integral_0^(alpha+beta) B_n^(k)(x - w; a, b) dw.
     Right: 1/(n+1) sum_{m=0}^{n} (m+1)^(-k) sum_{j=0}^{m+1} (-1)^j C(m+1,j)
-           (x - j alpha - (j+1) beta)^(n+1).
+           (x - j alpha - (j+1) beta)^(n+1),
+    whose inner sums are (-1)^(n+1) W_{beta-x,L}(n+1, m+1).
     """
     if n < 0:
         raise ValueError("raabe_poly expects n >= 0")
@@ -649,7 +663,7 @@ def raabe_poly(n: int, k: int, params: Params, x: Fraction) -> tuple[Fraction, F
     L = params.log_sum
     anti = gpb_explicit(n, k, params).poly.antiderivative()
     lhs = anti(x) - anti(x - L)
-    rhs = (-1) ** (n + 1) * _shifted_sum(k, params, -x, n, 1, n + 1) / (n + 1)
+    rhs = (-1) ** (n + 1) * _weight_sum(n + 1, k, params.beta - x, L, 1) / (n + 1)
     return lhs, rhs
 
 
@@ -671,7 +685,7 @@ def raabe_numeric(query: ZetaQuery) -> tuple[NumericResult, NumericResult]:
         L_m = _rat_mpf(query.params.log_sum)
 
         def integrand(w):
-            res = _difference_series_sum(finer, 0, _rat_mpf(query.x) + w)
+            res = _scaled_series(replace(finer, x=query.x + Fraction(*to_rational(w._mpf_))))
             integrand_errors.append(res.error)
             return res.value
 
@@ -682,7 +696,7 @@ def raabe_numeric(query: ZetaQuery) -> tuple[NumericResult, NumericResult]:
             )
         lhs_err = lhs_quad_err + L_m * (max(integrand_errors) if integrand_errors else 0)
         lhs = NumericResult(lhs_value, lhs_err, len(integrand_errors))
-        rhs_raw = _difference_series_sum(replace(query, s=query.s - 1), 1)
+        rhs_raw = _scaled_series(replace(query, s=query.s - 1), 1)
         scale = 1 / (_rat_mpf(query.s) - 1)
         rhs = NumericResult(rhs_raw.value * scale, rhs_raw.error * abs(scale), rhs_raw.terms)
         return lhs, rhs

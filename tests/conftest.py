@@ -59,3 +59,23 @@ def literal_double_sum(n, k, params=CLASSICAL) -> Poly1:
             for i in range(n + 1):
                 coeffs[i] += outer * comb(n, i) * gamma**i * (-shift) ** (n - i)
     return Poly1(coeffs)
+
+
+def literal_shifted_sum(k, params, x, m_top, step, power) -> Fraction:
+    """The truncated zeta series in rationals, term by term:
+
+        sum_{m=0}^{m_top} (m+1)^(-k) sum_{j=0}^{m+step} (-1)^j C(m+step, j)
+            (x + j alpha + (j+1) beta)^power
+
+    the oracle of xi_exact_neg (step 0), difference_exact and the right side
+    of raabe_poly (step 1).
+    """
+    x = Fraction(x)
+    acc = Fraction(0)
+    for m in range(m_top + 1):
+        inner = Fraction(0)
+        for j in range(m + step + 1):
+            base = x + j * params.alpha + (j + 1) * params.beta
+            inner += (-1) ** j * comb(m + step, j) * base**power
+        acc += Fraction(m + 1) ** -k * inner
+    return acc

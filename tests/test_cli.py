@@ -140,6 +140,41 @@ def test_exact_table_golden_sha256(line, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_GOLDEN_SHA256[line]
 
 
+# The series and reduced requests of the benchmark's zeta workload, each
+# stdout taken while the series engine still carried alpha and beta.  Both
+# routes now sum one series in y = (x+beta)/L and differ only in where the
+# stop falls, so these pin the value digits, error bounds and term counts.
+SERIES_GOLDEN_SHA256 = {
+    "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 64 --route series":
+        "a665e760b20f0e190ce5c30c5363e998afee6cbc62cdec91929f558ac0834426",
+    "--k 2 --s 3/2 --x 30 --alpha 1 --beta 1/2 --precision 128 --route series":
+        "77c44c4cd56b275aad71d782250fefb6dc75aba895b18b16bfeddd3277d13068",
+    "--k 2 --s 3/2 --x 60 --alpha 1 --beta 1/2 --precision 192 --route series":
+        "19d4a190d7b671da0e509d811302052ea17c22725e340d628d748e7dd89db0b2",
+    "--k 1 --s 5/2 --x 120 --alpha 1/3 --beta 2/3 --precision 256 --route series":
+        "76d7349a29648823b4d05bb2f7465cfed746cb95cae6f184547bf311faa1b847",
+    "--k 3 --s 1/2 --x 45 --alpha 1/4 --beta 3/4 --precision 64 --route series":
+        "2ebeaca4b4b006b74bb0d535ff45dcfed7013381a4b1e738d4dc449cefa35979",
+    "--k 2 --s 2 --x 200 --alpha 1 --beta 1/3 --precision 256 --route series":
+        "4877afde8dc543fe4dd17c64bc80a0a3e3d85438e27635f852afa6575e8fda68",
+    "--k 1 --s 1/2 --x 40 --alpha 1 --beta 1 --precision 64 --route reduced":
+        "82b6d8443162058e83f338ba48e5a44883f13f777cf458a8df9725bb88f51abb",
+    "--k 3 --s 2 --x 50 --alpha 1/2 --beta 1/4 --precision 128 --route reduced":
+        "611aaf3cacfbfcb84db9e3b978ef4bbace9e5068b5e47b1b56ae8dacc69b0a2a",
+    "--k 2 --s 5/2 --x 90 --alpha 1/2 --beta 1/2 --precision 192 --route reduced":
+        "1637483dc432c40b971bcded03dd961f7a777716013549dd73f68fcdc230047f",
+    "--k 2 --s 7/2 --x 100 --alpha 1 --beta 1/2 --precision 256 --route reduced":
+        "9f7cd9bee851dff539efbe30c85dc5dc54acf321f19e9fa9fe7a2cd316d76c8b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SERIES_GOLDEN_SHA256))
+def test_series_golden_sha256(args, capsys):
+    code, out, _ = run_main(["eval", "--kind", "zeta", *args.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_GOLDEN_SHA256[args]
+
+
 SYM_EVAL_GOLDEN = """\
 {
   "kind": "sym-poly",

@@ -42,10 +42,9 @@ from polybernoulli.zeta import (
     _gf_coefficients,
     _polylog_ratio,
     _quadrature_kernel,
-    _shifted_sum,
 )
 
-from conftest import rand_params, rand_rat
+from conftest import literal_shifted_sum, rand_params, rand_rat
 
 CLASSICAL = Params(Fraction(1), Fraction(0))
 
@@ -233,13 +232,35 @@ def test_xi_exact_neg_matches_literal_sum_and_rows():
             for k in (-64, -7, 0, 1, 2, 64):
                 for n in (0, 1, 2, 3, 5, 8, 13, 17):
                     got = xi_exact_neg(k, n, params, x)
-                    assert got == _shifted_sum(k, params, x, n, 0, n), (params, x, k, n)
+                    assert got == literal_shifted_sum(k, params, x, n, 0, n), (params, x, k, n)
     assert core._PB_ROWS == rows_before
     x = Fraction(1, 2)
     got = xi_exact_neg(64, 64, LARGE, x)
     assert core._PB_ROWS == rows_before
-    assert got == _shifted_sum(64, LARGE, x, 64, 0, 64)
+    assert got == literal_shifted_sum(64, LARGE, x, 64, 0, 64)
     assert got == gpb_explicit(64, 64, LARGE).poly(-x)
+
+
+def test_exact_identities_match_literal_sum():
+    # difference_exact and the right side of raabe_poly read the weight row
+    # one column on; the literal truncated series holds both, over k of both
+    # signs, beta = 0, negative L and the large parameters.
+    param_sets = [
+        Params(Fraction(1, 2), Fraction(1, 3)),
+        Params(Fraction(10**6, 7), Fraction(1, 999999)),
+        Params(Fraction(5, 3), Fraction(0)),
+        Params(Fraction(-3, 2), Fraction(5, 7)),
+    ]
+    for params in param_sets:
+        for x in (Fraction(0), Fraction(1, 2), Fraction(-7, 3), Fraction(10**6, 7)):
+            for k in (-7, -1, 0, 1, 2, 9):
+                for n in (0, 1, 2, 5, 12):
+                    case = (params, x, k, n)
+                    want = -literal_shifted_sum(k, params, x, n - 1, 1, n)
+                    assert difference_exact(k, n, params, x) == want, case
+                    _lhs, rhs = raabe_poly(n, k, params, x)
+                    want = literal_shifted_sum(k, params, -x, n, 1, n + 1) / (n + 1)
+                    assert rhs == (-1) ** (n + 1) * want, case
 
 
 def test_difference_exact_matches_two_evaluations():
@@ -330,20 +351,27 @@ def pinned_query(k, s, x, alpha, beta, precision):
 
 @pytest.mark.parametrize("shift", [0, 1])
 def test_difference_series_sum_within_error_of_literal_sum(shift):
-    # The same number of outer terms, each inner sum taken literally with
-    # binomial weights, at a precision that covers its cancellation of up to
-    # n + shift bits and the engine's guard bits with 64 to spare.  At shift 0
-    # the term counts are pinned, so any drift of the stopping rule fails.
+    # The engine at y = (x+beta)/L with the series route's stop, 2^-(p+8) L^s
+    # on terms in y, against the same number of outer terms, each inner sum
+    # taken literally with binomial weights, at a precision that covers its
+    # cancellation of up to n + shift bits and the engine's guard bits with
+    # 64 to spare.  At shift 0 the term counts are pinned, so any drift of
+    # the stopping rule fails.  The terms in y are L^s times the series
+    # route's, so the absolute bounds are the same or, for L > 1, sharper.
     for *args, terms in SERIES_PINNED:
         q = pinned_query(*args)
-        a, b = q.params.alpha, q.params.beta
-        res = _difference_series_sum(q, shift)
+        L = q.params.log_sum
+        y = (q.x + q.params.beta) / L
+        with mp.workprec(q.precision + GUARD_BITS + 16):
+            L_s = (mp.mpf(L.numerator) / L.denominator) ** (mp.mpf(q.s.numerator) / q.s.denominator)
+            threshold = mp.ldexp(1, -(q.precision + 8)) * L_s
+        res = _difference_series_sum(q.k, q.s, y, q.precision, q.max_terms, shift, threshold)
         if shift == 0:
             assert res.terms == terms, args
         d_top = res.terms - 1 + shift
         with mp.workprec(q.precision + GUARD_BITS + 24 + d_top + 64):
             neg_s = -mp.mpf(q.s.numerator) / q.s.denominator
-            bases = (q.x + j * a + (j + 1) * b for j in range(d_top + 1))
+            bases = (y + j for j in range(d_top + 1))
             f = [(mp.mpf(base.numerator) / base.denominator) ** neg_s for base in bases]
             literal = mp.mpf(0)
             for m in range(res.terms):
